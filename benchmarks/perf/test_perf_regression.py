@@ -194,34 +194,11 @@ def test_scenario_grid_identity_bit_exact(results):
     assert row["worlds"] == 8
 
 
-def test_policy_point_queries_speedup_floor(results):
-    # A warm tile hit answers in tens of microseconds vs ~1-2 ms for a
-    # full-lattice build per query (measured ~30x in quick mode); the
-    # PR's acceptance gate is 20x on BOTH the min-of-k total and the
-    # per-query p99 tail.
-    row = results["policy_point_queries"]
-    assert row["speedup"] >= 20.0
-    assert row["p99_speedup"] >= 20.0
-
-
-def test_policy_point_queries_bit_exact(results):
-    # Not a tolerance: streamed answers equal the warm monolithic grid
-    # cell-for-cell, tile-assembled sweeps are tobytes-identical to the
-    # monolithic builds, and parity is re-proved after every catalog
-    # event — with the timed tile phase ticking zero full-grid builds.
-    row = results["policy_point_queries"]
-    assert row["max_rel_err"] == 0.0
-    assert row["grid_builds_during_tile_phase"] == 0
-    assert row["events_applied"] >= 3
-    assert row["parity_per_event"] and all(row["parity_per_event"])
-    assert row["tiles_built"] > 0
-
-
 def test_agentic_mix_speedup_floor(results):
     # One fused multi-query plan over the ~200-query mixed stream must
     # beat per-request sequential dispatch by the PR's acceptance gate
     # (measured ~7x quick: review dedup, shared CTP batch, shared
-    # matrix pass, tile regroup, era reuse).
+    # matrix pass, shared point grid, era reuse).
     assert results["agentic_mix"]["speedup"] >= 3.0
 
 

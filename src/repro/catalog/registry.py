@@ -41,6 +41,7 @@ __all__ = [
     "current_epoch",
     "invalidate_all",
     "invalidate_for",
+    "invalidation_count",
     "read_guard",
     "register_invalidation_hook",
     "unregister_invalidation_hook",
@@ -150,6 +151,16 @@ def invalidate_for(kind: str, epoch: int) -> tuple[str, ...]:
             _HOOK_RUNS[name] = _HOOK_RUNS.get(name, 0) + 1
             _HOOKS[name][1](epoch)
     return names
+
+
+def invalidation_count() -> int:
+    """How many invalidation sweeps have run; never reset.
+
+    Every applied event and every catalog reset moves it, so state
+    memoized under one count stays current until the count changes.
+    """
+    with _HOOKS_LOCK:
+        return _INVALIDATIONS
 
 
 def catalog_epoch_info() -> dict:

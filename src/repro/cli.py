@@ -122,10 +122,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_policy.add_argument("--point", action="append", default=None,
                           metavar="T,Y",
                           help="answer single (threshold Mtops, year) "
-                               "scorecards through the lazy tile plane "
-                               "instead of building the full grid; "
-                               "repeatable, overrides --thresholds/"
-                               "--years")
+                               "scorecards from one grid over just the "
+                               "given points; repeatable, overrides "
+                               "--thresholds/--years")
     p_policy.add_argument("--profile", action="store_true",
                           help="print a span/counter profile after the "
                                "output")
@@ -512,13 +511,11 @@ def _parse_policy_points(specs: list[str]) -> list[tuple[float, float]]:
 
 
 def _cmd_policy_points(args: argparse.Namespace) -> str:
-    """Point-query path: one tile touch per cell, no full-grid build."""
-    from repro.tiles import policy_cells, tile_plane_info
+    """Point-query path: one grid over the points' own coordinates."""
+    from repro.tiles import policy_cells
 
     points = _parse_policy_points(args.point)
-    before = tile_plane_info()["policy"]
     cells = policy_cells(points)
-    after = tile_plane_info()["policy"]
     rows = []
     for cell in cells:
         rows.append([
@@ -531,18 +528,11 @@ def _cmd_policy_points(args: argparse.Namespace) -> str:
             len(cell.uncontrollable_covered_systems),
             "yes" if cell.credible else "NO",
         ])
-    table = render_table(
+    return render_table(
         ["threshold", "year", "frontier", "protected", "illusory",
          "burden", "uncontrollable", "credible"],
         rows, title="Policy scorecards (Mtops)",
     )
-    built = (after["builds"] - before["builds"]
-             + after["partial_builds"] - before["partial_builds"])
-    hits = after["cache"]["hits"] - before["cache"]["hits"]
-    footer = (f"{len(points)} point quer{'y' if len(points) == 1 else 'ies'}"
-              f" via the tile plane: {built} tile build(s), "
-              f"{hits} tile hit(s), 0 full-grid builds")
-    return table + "\n" + footer
 
 
 def _cmd_policy(args: argparse.Namespace) -> str:
@@ -1136,7 +1126,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ReproError as exc:
         print(f"error: {exc.diagnostic()}")
         return 1
-    except (KeyError, ValueError) as exc:
+    except (KeyError, ValueError, OSError) as exc:
         print(f"error: {exc}")
         return 1
     return 0

@@ -43,7 +43,6 @@ WORKLOAD_NAMES = (
     "serve_prefork_load",
     "catalog_churn",
     "scenario_grid",
-    "policy_point_queries",
     "agentic_mix",
 )
 
@@ -968,232 +967,6 @@ def _bench_scenario_grid(quick: bool) -> dict:
     return row
 
 
-def _bench_policy_point_queries(quick: bool) -> dict:
-    """Sparse agentic point queries: lazy tile plane vs full-grid builds.
-
-    The workload is the interactive licensing mix the tile plane exists
-    for: a Poisson-weighted stream of ``(threshold, year)`` point
-    queries drawn from a small vocabulary (the statutory thresholds plus
-    a few round numbers, over half-year steps 1988-1998).  The scalar
-    baseline answers each query the pre-tile way — build the full
-    policy lattice (the sweep axes unioned with the query vocabulary so
-    every answer is a plain ``result_at``) and read one cell — while the
-    batch side routes the same stream through
-    :func:`repro.tiles.policy_cells`, which touches exactly one cached
-    16x16 tile per query.  Both sides are timed in steady state (the
-    tile side after a cold priming pass, reported separately), and the
-    per-query latency distributions gate the tail: ``p99_speedup`` must
-    hold alongside the min-of-k ``speedup``.
-
-    ``max_rel_err`` is bit-exactness across the whole surface, not a
-    tolerance: every streamed answer must equal the warm monolithic
-    grid's cell dataclass-for-dataclass; :func:`tiled_policy_grid` and
-    :func:`tiled_scenario_grid` must reproduce their monolithic builds
-    byte-for-byte (``tobytes`` over every tensor, odd tile shapes); a
-    three-event catalog mutation sequence (append, amend-machine,
-    amend-threshold) must leave every fresh point answer equal to a
-    fresh full build after *each* event (``parity_per_event``) while the
-    threshold amendment provably skips the policy-plane hook; and the
-    timed tile phase must complete with **zero** ``policy.grid_builds``
-    — the sparse mix never pays for a full lattice.
-    """
-    import dataclasses
-
-    from repro.catalog import events as catalog_events
-    from repro.catalog.registry import catalog_epoch_info
-    from repro.diffusion.policy_grid import evaluate_policy_grid
-    from repro.diffusion.policy import threshold_at as policy_threshold_at
-    from repro.machines.columns import machine_columns
-    from repro.obs.trace import counters
-    from repro.scenarios import HISTORICAL, accelerated_foreign, flop_cap
-    from repro.scenarios.grid import evaluate_scenario_grid
-    from repro.tiles import (
-        clear_tile_planes,
-        policy_cells,
-        threshold_at,
-        tile_plane_info,
-        tiled_policy_grid,
-        tiled_scenario_grid,
-    )
-
-    catalog_events.reset_catalog()
-
-    rng = np.random.default_rng(11)
-    vocab_t = [100.0, 160.0, 195.0, 500.0, 1_500.0, 2_000.0,
-               4_000.0, 7_000.0, 10_000.0, 20_000.0]
-    vocab_y = [1988.0 + 0.5 * k for k in range(21)]  # 1988 .. 1998
-    lam = 0.7 if quick else 2.0
-    counts = rng.poisson(lam=lam, size=(len(vocab_t), len(vocab_y)))
-    stream = [(t, y)
-              for i, t in enumerate(vocab_t)
-              for j, y in enumerate(vocab_y)
-              for _ in range(int(counts[i, j]))]
-    rng.shuffle(stream)
-
-    # The baseline's sweep axes: the full-resolution lattice a
-    # non-tiled implementation would build, unioned with the query
-    # vocabulary so each answer is an exact result_at read.
-    base_t = np.union1d(np.geomspace(10.0, 50_000.0, 48),
-                        np.asarray(vocab_t))
-    base_y = np.union1d(np.arange(1986.0, 2000.0, 0.25),
-                        np.asarray(vocab_y))
-    row_of = {float(v): i for i, v in enumerate(base_t)}
-    col_of = {float(v): j for j, v in enumerate(base_y)}
-
-    def full_grid_pass() -> list[float]:
-        lats = []
-        for t, y in stream:
-            start = time.perf_counter()
-            grid = evaluate_policy_grid(base_t, base_y)
-            grid.result_at(row_of[t], col_of[y])
-            lats.append(time.perf_counter() - start)
-        return lats
-
-    def tile_pass() -> list[float]:
-        lats = []
-        for t, y in stream:
-            start = time.perf_counter()
-            policy_cells([(t, y)])
-            lats.append(time.perf_counter() - start)
-        return lats
-
-    repeats = 2 if quick else 3
-    full_grid_pass()  # warm the per-year caches the baseline leans on
-    full_passes = [full_grid_pass() for _ in range(repeats)]
-
-    clear_tile_planes()
-    cold_lats = tile_pass()  # priming pass: every tile built lazily here
-    tiles_built = int(tile_plane_info()["policy"]["builds"])
-    builds_before = counters().get("policy.grid_builds", 0)
-    tile_passes = [tile_pass() for _ in range(repeats)]
-    grid_builds_during_tiles = (
-        counters().get("policy.grid_builds", 0) - builds_before)
-
-    scalar_totals = [sum(lats) for lats in full_passes]
-    batch_totals = [sum(lats) for lats in tile_passes]
-    scalar = Timing(name="scalar", best_seconds=min(scalar_totals),
-                    mean_seconds=sum(scalar_totals) / len(scalar_totals),
-                    repeats=repeats, warmup=1)
-    batch = Timing(name="batch", best_seconds=min(batch_totals),
-                   mean_seconds=sum(batch_totals) / len(batch_totals),
-                   repeats=repeats, warmup=1)
-    full_lats = np.concatenate(full_passes)
-    tile_lats = np.concatenate(tile_passes)
-    full_p50, full_p99 = np.percentile(full_lats, (50.0, 99.0))
-    tile_p50, tile_p99 = np.percentile(tile_lats, (50.0, 99.0))
-
-    # The softer comparison: even against ONE warm monolithic grid kept
-    # around forever (no rebuilds, no invalidation story), the tile
-    # plane's point reads are in the same league.
-    warm_grid = evaluate_policy_grid(base_t, base_y)
-    warm_lats = []
-    for t, y in stream:
-        start = time.perf_counter()
-        warm_grid.result_at(row_of[t], col_of[y])
-        warm_lats.append(time.perf_counter() - start)
-    warm_p50, warm_p99 = np.percentile(warm_lats, (50.0, 99.0))
-
-    # -- exactness, layer 1: every streamed answer == the warm grid ----
-    distinct = sorted(set(stream))
-    cells = policy_cells(distinct)
-    point_parity = all(
-        cell == warm_grid.result_at(row_of[t], col_of[y])
-        for (t, y), cell in zip(distinct, cells)
-    )
-
-    # -- layer 2: tile-assembled sweeps are byte-identical -------------
-    axes_t = np.geomspace(10.0, 50_000.0, 24)
-    axes_y = np.arange(1986.0, 2000.0, 0.6)
-    mono = evaluate_policy_grid(axes_t, axes_y)
-    tiled = tiled_policy_grid(axes_t, axes_y, tile_shape=(7, 5))
-    grid_parity = all(
-        np.asarray(getattr(tiled, field)).tobytes()
-        == np.asarray(getattr(mono, field)).tobytes()
-        for field in ("frontier_mtops", "requirements", "protected_counts",
-                      "illusory_counts", "burden_units",
-                      "uncontrollable_counts", "credible")
-    )
-    worlds = (HISTORICAL, flop_cap(), accelerated_foreign())
-    mono_s = evaluate_scenario_grid(worlds, axes_t[:8], axes_y[:6])
-    tiled_s = tiled_scenario_grid(worlds, axes_t[:8], axes_y[:6],
-                                  tile_shape=(3, 4))
-    tensor_parity = all(
-        np.asarray(getattr(tiled_s, field)).tobytes()
-        == np.asarray(getattr(mono_s, field)).tobytes()
-        for field in ("frontier_mtops", "requirements", "protected_counts",
-                      "illusory_counts", "burden_units",
-                      "uncontrollable_counts", "credible",
-                      "in_force_mtops", "in_force_credible")
-    )
-
-    # -- layer 3: per-event invalidation parity -------------------------
-    base_machine = machine_columns().machines[-1]
-    clone = dataclasses.replace(base_machine, vendor="TileCo",
-                                model="PQ-1")
-    events = [
-        catalog_events.AppendMachine(machine=clone),
-        catalog_events.AmendMachine(
-            key=clone.key,
-            machine=dataclasses.replace(clone, units_installed=9)),
-        catalog_events.AmendThreshold(start_year=1994.1,
-                                      threshold_mtops=7_500.0,
-                                      label="tile bench interim"),
-    ]
-    probes = [(195.0, 1992.0), (2_000.0, 1995.5), (7_000.0, 1996.5)]
-    probe_t = np.asarray(sorted({t for t, _ in probes}))
-    probe_y = np.asarray(sorted({y for _, y in probes}))
-    parity_per_event = []
-    events_applied = 0
-    policy_hook_runs_before_amend = None
-    for event in events:
-        if isinstance(event, catalog_events.AmendThreshold):
-            policy_hook_runs_before_amend = catalog_epoch_info()[
-                "hook_runs"].get("tiles.policy", 0)
-        outcome = catalog_events.apply_event(event)
-        events_applied += int(outcome.applied)
-        fresh = evaluate_policy_grid(probe_t, probe_y)
-        fresh_rows = {float(v): i for i, v in enumerate(probe_t)}
-        fresh_cols = {float(v): j for j, v in enumerate(probe_y)}
-        answers = policy_cells(probes)
-        ok = all(
-            cell == fresh.result_at(fresh_rows[t], fresh_cols[y])
-            for (t, y), cell in zip(probes, answers)
-        ) and threshold_at(1995.0) == policy_threshold_at(1995.0)
-        parity_per_event.append(bool(ok))
-    # Precision: the threshold amendment must NOT have run the
-    # policy-plane hook (scorecards never read THRESHOLD_HISTORY).
-    policy_hook_precise = (
-        catalog_epoch_info()["hook_runs"].get("tiles.policy", 0)
-        == policy_hook_runs_before_amend)
-
-    exact = (point_parity and grid_parity and tensor_parity
-             and all(parity_per_event) and policy_hook_precise
-             and grid_builds_during_tiles == 0)
-    catalog_events.reset_catalog()
-
-    row = _row("policy_point_queries",
-               f"{len(stream)} Poisson-mixed (threshold, year) point "
-               f"queries via the lazy tile plane vs one full "
-               f"{base_t.size} x {base_y.size} policy-grid build per "
-               f"query (steady state; bit-exact vs the monolithic grid, "
-               f"re-proved after each of {len(events)} catalog events)",
-               scalar, batch, 0.0 if exact else 1.0)
-    row["queries"] = len(stream)
-    row["p99_speedup"] = float(full_p99 / tile_p99)
-    row["full_grid_p50_ms"] = float(full_p50 * 1e3)
-    row["full_grid_p99_ms"] = float(full_p99 * 1e3)
-    row["tile_p50_ms"] = float(tile_p50 * 1e3)
-    row["tile_p99_ms"] = float(tile_p99 * 1e3)
-    row["warm_monolithic_p50_ms"] = float(warm_p50 * 1e3)
-    row["warm_monolithic_p99_ms"] = float(warm_p99 * 1e3)
-    row["cold_pass_p99_ms"] = float(np.percentile(cold_lats, 99.0) * 1e3)
-    row["tiles_built"] = tiles_built
-    row["grid_builds_during_tile_phase"] = int(grid_builds_during_tiles)
-    row["events_applied"] = events_applied
-    row["parity_per_event"] = parity_per_event
-    return row
-
-
 def _bench_agentic_mix(quick: bool) -> dict:
     """A heterogeneous agentic batch: one fused plan vs per-request
     dispatch.
@@ -1209,7 +982,7 @@ def _bench_agentic_mix(quick: bool) -> dict:
     while the fused side compiles the whole stream into **one** plan:
     duplicates collapse by CSE, every rating shares one
     ``ctp_homogeneous_batch``, licenses share one controllability
-    matrix pass, point queries regroup by tile bucket, and reviews run
+    matrix pass, point queries share one grid, and reviews run
     once per distinct (year, policy) with their thresholds reused by
     the rate / threshold-at slots.
 
@@ -1221,7 +994,6 @@ def _bench_agentic_mix(quick: bool) -> dict:
     from repro.catalog import events as catalog_events
     from repro.serve import plan as qplan
     from repro.serve.schemas import parse_request
-    from repro.tiles import clear_tile_planes
 
     catalog_events.reset_catalog()
     rng = np.random.default_rng(17)
@@ -1264,9 +1036,8 @@ def _bench_agentic_mix(quick: bool) -> dict:
     def fused_pass() -> list:
         return qplan.execute_plan(qplan.build_plan(stream))
 
-    clear_tile_planes()
     clear_credit_cache()
-    sequential_out = sequential_pass()  # warm tiles, credit prefix rows
+    sequential_out = sequential_pass()  # warm credit prefix rows
     before = qplan.plan_stats()
     fused_out = fused_pass()
     after = qplan.plan_stats()
@@ -1286,7 +1057,7 @@ def _bench_agentic_mix(quick: bool) -> dict:
                f"{len(stream)} Poisson-mixed queries across all seven "
                f"endpoints, one fused multi-query plan vs per-request "
                f"sequential dispatch (CSE + shared CTP batch + shared "
-               f"matrix pass + tile regroup + review->era reuse; "
+               f"matrix pass + shared point grid + review->era reuse; "
                f"response cache off on both sides; byte-identical "
                f"responses)",
                scalar, fast, 0.0 if exact else 1.0)
@@ -1331,7 +1102,6 @@ _BENCHES = {
     "serve_prefork_load": _bench_serve_prefork_load,
     "catalog_churn": _bench_catalog_churn,
     "scenario_grid": _bench_scenario_grid,
-    "policy_point_queries": _bench_policy_point_queries,
     "agentic_mix": _bench_agentic_mix,
 }
 

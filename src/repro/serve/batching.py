@@ -23,11 +23,10 @@ closed-loop clients (each waiting for its previous answer) a fixed linger
 only adds latency — the backlog itself produces the batches.
 
 Coalescing is compositional: a batch handed to a dispatch callback may be
-regrouped again by the callback's own locality.  The ``/policy`` and
-``/scenario`` dispatchers group their batch-mates by **tile bucket**
-(:mod:`repro.tiles`), so concurrent point queries that land in the same
-tile cost one lazy tile build — and repeat buckets across batches are
-pure cache hits — instead of one full-lattice grid build per batch.
+fused again by the callback.  The ``/policy`` and ``/scenario``
+dispatchers answer all their new batch-mates from one grid over those
+points' own distinct coordinates (:mod:`repro.tiles`), so concurrent
+point queries cost one small grid build, not one build each.
 
 Backpressure and deadlines
 --------------------------

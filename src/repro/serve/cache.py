@@ -41,15 +41,13 @@ MISS = object()
 class LRUCache:
     """A lock-guarded LRU mapping of canonical request keys to responses."""
 
-    def __init__(self, capacity: int,
-                 counter_prefix: str = "serve.cache") -> None:
+    def __init__(self, capacity: int) -> None:
         if not isinstance(capacity, int) or capacity < 0:
             raise ValidationError(
                 "cache capacity must be a non-negative integer",
                 context={"got": capacity, "valid": ">= 0"},
             )
         self.capacity = capacity
-        self._prefix = counter_prefix
         self._data: OrderedDict[Hashable, object] = OrderedDict()
         self._lock = threading.RLock()
         self._hits = 0
@@ -63,11 +61,11 @@ class LRUCache:
             value = self._data.get(key, MISS) if self.capacity else MISS
             if value is MISS:
                 self._misses += 1
-                counter_inc(f"{self._prefix}.misses")
+                counter_inc("serve.cache.misses")
                 return MISS
             self._data.move_to_end(key)
             self._hits += 1
-            counter_inc(f"{self._prefix}.hits")
+            counter_inc("serve.cache.hits")
             return value
 
     def put(self, key: Hashable, value: object) -> None:
@@ -81,7 +79,7 @@ class LRUCache:
             while len(self._data) > self.capacity:
                 self._data.popitem(last=False)
                 self._evictions += 1
-                counter_inc(f"{self._prefix}.evictions")
+                counter_inc("serve.cache.evictions")
 
     def clear(self) -> None:
         """Drop all entries (counters keep accumulating)."""
@@ -104,7 +102,7 @@ class LRUCache:
                     purged += 1
             self._purges += purged
         if purged:
-            counter_inc(f"{self._prefix}.purges", purged)
+            counter_inc("serve.cache.purges", purged)
         return purged
 
     def __len__(self) -> int:

@@ -2,10 +2,10 @@
 
 The serving tier built so far coalesces *within* an endpoint: the
 ``/rate`` MicroBatcher turns N concurrent ratings into one
-``ctp_homogeneous_batch`` call, the ``/policy`` batcher regroups its
-batch by tile bucket, and so on.  An agentic client does not speak one
+``ctp_homogeneous_batch`` call, the ``/policy`` batcher answers its
+batch from one grid, and so on.  An agentic client does not speak one
 endpoint at a time — a single planning turn issues a ``/review`` that
-needs a threshold, three ``/policy`` points on the same tile, a
+needs a threshold, three ``/policy`` points in the same era, a
 ``/scenario`` point plus the ``/rate`` of the machine under discussion —
 and until now each of those paid its own columnar pass even when they
 share most of the work.
@@ -19,9 +19,9 @@ This module closes that gap with a classic query-planner shape:
 3. **Fuse** — unique queries are grouped into primitive columnar ops:
    one ``ctp_homogeneous_batch`` per coupling across *all* rating
    queries, one controllability matrix pass across all license queries,
-   one tile-bucket regroup across all policy / scenario point queries,
-   one era bisect per distinct year, one ``run_annual_review`` per
-   distinct (year, policy).
+   one batch-local grid across all policy (and one across all scenario)
+   point queries, one era bisect per distinct year, one
+   ``run_annual_review`` per distinct (year, policy).
 4. **Reuse across endpoints** — a review computes the threshold in
    force at its year with the *same* ``threshold_at`` the rate /
    threshold-at queries need, so an in-plan review satisfies their era
@@ -80,9 +80,8 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# plan statistics (module-level: one planner per process, like the tile
-# planes), surfaced as ``serve.plan`` in /metrics and rolled up across a
-# prefork fleet
+# plan statistics (module-level: one planner per process), surfaced as
+# ``serve.plan`` in /metrics and rolled up across a prefork fleet
 # ---------------------------------------------------------------------------
 
 _STATS_LOCK = threading.Lock()
@@ -515,8 +514,8 @@ def _run_licenses(plan: QueryPlan) -> None:
 
 
 def _run_policies(plan: QueryPlan) -> None:
-    # One tile-bucket regroup across every policy point in the plan:
-    # same-tile queries share one lazy build (or a pure cache hit).
+    # One grid over the distinct thresholds and years of every policy
+    # point in the plan.
     from repro.tiles import policy_cells
 
     queries = plan.by_endpoint("policy")
@@ -541,8 +540,9 @@ def _run_policies(plan: QueryPlan) -> None:
 
 
 def _run_scenarios(plan: QueryPlan) -> None:
-    # One (world, tile-bucket) regroup across every scenario point; the
-    # plan already holds the read guard (it is not reentrant).
+    # One tensor over the distinct worlds, thresholds and years of every
+    # scenario point; the plan already holds the read guard (it is not
+    # reentrant).
     from repro.tiles import scenario_cells
 
     queries = plan.by_endpoint("scenario")

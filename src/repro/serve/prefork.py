@@ -309,14 +309,6 @@ class PreforkServer:
         if self._started:
             return self
         self._started = True
-        # Prime the tile planes in the parent before forking: the hot
-        # agentic point-query region is built once (off the mmap
-        # snapshot columns when one is active) and every worker inherits
-        # the warm tiles through copy-on-write instead of each paying
-        # the first-touch builds.
-        from repro.tiles import prime_tile_plane
-
-        prime_tile_plane()
         for worker_id in range(self.n_workers):
             parent_end, child_end = socket.socketpair()
             pid = os.fork()

@@ -235,7 +235,7 @@ class LicenseRequest:
     @property
     def cache_key(self) -> tuple:
         return ("license", self.machine.key, self.destination,
-                self.threshold_mtops)
+                self.threshold_mtops, self.year)
 
 
 def parse_license(payload: object) -> LicenseRequest:

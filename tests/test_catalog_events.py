@@ -365,7 +365,7 @@ class TestServeEpochConsistency:
 
 class TestLRUCacheEpochPurge:
     def test_purge_below_epoch(self):
-        cache = LRUCache(8, counter_prefix="test.cache")
+        cache = LRUCache(8)
         cache.put((0, "a"), {"v": 1})
         cache.put((1, "a"), {"v": 2})
         cache.put((2, "b"), {"v": 3})

@@ -127,6 +127,18 @@ class TestCommands:
         assert "verdict stability" in out.lower()
 
 
+class TestOutputErrors:
+    def test_unwritable_output_is_one_line_error(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "x.md"
+        code = main(["report", "--output", str(target)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out.startswith("error: ")
+        assert str(target) in captured.out
+        assert len(captured.out.strip().splitlines()) == 1
+        assert "Traceback" not in captured.out + captured.err
+
+
 class TestRateValidation:
     """Bad ``rate`` flags exit nonzero with a one-line flag-named
     diagnostic — never a traceback."""

@@ -14,6 +14,7 @@ JSON-RPC bridge.
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import json
 import threading
@@ -22,9 +23,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.catalog.events import apply_event, parse_event, reset_catalog
+from repro.catalog.events import (
+    AmendMachine,
+    AmendThreshold,
+    AppendMachine,
+    apply_event,
+    parse_event,
+    reset_catalog,
+)
 from repro.catalog.registry import current_epoch
+from repro.diffusion.policy import evaluate_policy
+from repro.machines.columns import machine_columns
+from repro.obs.errors import ValidationError
 from repro.obs.trace import counters
+from repro.scenarios.grid import clear_scenario_caches, evaluate_scenario_grid
 from repro.serve import plan as plan_module
 from repro.serve.batching import MicroBatcher
 from repro.serve.client import ServeClient
@@ -32,6 +44,7 @@ from repro.serve.plan import build_plan, execute_plan, plan_stats
 from repro.serve.rpc import RPC_METHODS, rpc_response, run_stdio_bridge
 from repro.serve.schemas import parse_request
 from repro.serve.server import ServeConfig, ServeServer, ServiceEngine
+from repro.tiles import ScenarioPoint, policy_cells, scenario_cells
 
 
 def _server(**overrides) -> ServeServer:
@@ -189,6 +202,143 @@ class TestEpochInterleave:
             assert [json.dumps(s) for s in result["slots"]] == reference
         finally:
             reset_catalog()
+
+
+# ---------------------------------------------------------------------------
+# point-query parity across catalog events
+# ---------------------------------------------------------------------------
+
+# Era thresholds at half-year dates, and arbitrary coordinates between
+# them; one omitted scenario threshold resolves through the world's
+# (amendable) era table.
+_POLICY_POINTS = [(2000.0, 1995.5), (195.0, 1992.0), (7000.0, 1997.0),
+                  (123.4, 1991.7), (1234.5, 1996.33)]
+_SCENARIO_PAYLOADS = [
+    {"scenario": "historical", "threshold_mtops": 2000.0, "year": 1995.5},
+    {"scenario": "historical", "year": 1996.25},
+    {"scenario": "flop_cap", "threshold_mtops": 1234.5, "year": 1996.33},
+    {"scenario": "flop_cap", "threshold_mtops": 7000.0, "year": 1993.0},
+]
+
+
+def _expected_scenario_body(payload: dict) -> dict:
+    """The scenario body built from a fresh one-cell tensor."""
+    request = parse_request("scenario", payload)
+    clear_scenario_caches()
+    grid = evaluate_scenario_grid((request.scenario,),
+                                  [request.threshold_mtops], [request.year])
+    point = ScenarioPoint(
+        scenario=request.scenario,
+        cell=grid.result_at(0, 0, 0),
+        threshold_in_force_mtops=float(grid.in_force_mtops[0, 0]),
+        in_force_credible=bool(grid.in_force_credible[0, 0]),
+    )
+    return plan_module._scenario_body(request, point)
+
+
+class TestCatalogEventParity:
+    def test_point_answers_track_every_event_kind(self):
+        """After each event kind, /policy and /scenario answers (single
+        POSTs and one mixed /batch, response cache on) equal the scalar
+        scorecard and a freshly built tensor cell."""
+        clone = dataclasses.replace(machine_columns().machines[-1],
+                                    vendor="ParityCo", model="PQ-1")
+        events = [
+            AppendMachine(machine=clone),
+            AmendMachine(key=clone.key, machine=dataclasses.replace(
+                clone, units_installed=5000)),
+            AmendThreshold(start_year=1994.1, threshold_mtops=7_500.0,
+                           label="amended"),
+        ]
+        items = ([{"endpoint": "policy", "threshold_mtops": t, "year": y}
+                  for t, y in _POLICY_POINTS]
+                 + [{"endpoint": "scenario", **p}
+                    for p in _SCENARIO_PAYLOADS])
+        server = _server(cache_size=64)
+        client = ServeClient(port=server.port)
+        try:
+            seen = []
+            for event in [None, *events]:
+                if event is not None:
+                    assert apply_event(event).applied
+                expected = (
+                    [plan_module._policy_body(evaluate_policy(t, y))
+                     for t, y in _POLICY_POINTS]
+                    + [_expected_scenario_body(p)
+                       for p in _SCENARIO_PAYLOADS])
+                batch = client.batch(items).require_ok()["results"]
+                for item, want, slot in zip(items, expected, batch):
+                    fields = {k: v for k, v in item.items()
+                              if k != "endpoint"}
+                    solo = client.request(
+                        "POST", f"/{item['endpoint']}", fields)
+                    assert solo.status == 200 and slot["status"] == 200
+                    assert json.dumps(solo.body) == json.dumps(want)
+                    assert json.dumps(slot["body"]) == json.dumps(want)
+                seen.append(expected)
+        finally:
+            client.close()
+            server.close()
+            reset_catalog()
+        # Every event moved at least one answer, so a stale cached or
+        # reused body could not have passed.
+        assert all(before != after for before, after in zip(seen, seen[1:]))
+
+
+class TestPointCells:
+    def test_repeat_points_build_no_grid(self):
+        points = [(2000.0, 1995.5), (321.0, 1991.3)]
+        first = policy_cells(points)
+        builds = counters().get("policy.grid_builds", 0)
+        assert policy_cells(points[::-1]) == first[::-1]
+        assert counters().get("policy.grid_builds", 0) == builds
+
+    def test_reset_then_other_event_at_same_epoch_is_fresh(self):
+        """Epoch numbers repeat after a catalog reset; answers must not."""
+        point = (2000.0, 1995.5)
+        base = machine_columns().machines[-1]
+        try:
+            for units in (10, 5000):
+                reset_catalog()
+                apply_event(AppendMachine(machine=dataclasses.replace(
+                    base, vendor="ParityCo", model="PQ-1",
+                    units_installed=units)))
+                assert current_epoch() == 1
+                assert policy_cells([point]) == [evaluate_policy(*point)]
+        finally:
+            reset_catalog()
+
+    def test_validation_errors_propagate(self):
+        with pytest.raises(ValidationError):
+            policy_cells([(2000.0, 1995.5), (-5.0, 1995.0)])
+        with pytest.raises(ValidationError):
+            policy_cells([(2000.0, 1895.0)])
+        with pytest.raises(ValidationError):
+            scenario_cells([("flop_cap", 2000.0, 1995.5)])
+
+
+class TestLicenseYear:
+    def test_license_answers_carry_their_own_year(self):
+        """Two /license queries that differ only in year share neither a
+        cache entry nor a /batch CSE slot."""
+        payloads = [{"machine": "Cray C916", "destination": "India",
+                     "threshold_mtops": 1500.0, "year": year}
+                    for year in (1995.0, 1996.5)]
+        server = _server(cache_size=64)
+        client = ServeClient(port=server.port)
+        try:
+            for payload in payloads:
+                body = client.request("POST", "/license",
+                                      payload).require_ok()
+                assert body["year"] == payload["year"]
+            batch = client.batch([{"endpoint": "license", **p}
+                                  for p in payloads]).require_ok()
+        finally:
+            client.close()
+            server.close()
+        assert [slot["body"]["year"] for slot in batch["results"]] \
+            == [p["year"] for p in payloads]
+        assert batch["plan"]["cse_hits"] == 0
 
 
 # ---------------------------------------------------------------------------

@@ -393,21 +393,6 @@ class TestIntrospection:
         assert "counters" in body  # the global metrics_snapshot rides along
         assert "credit_cache" in body
 
-    def test_metrics_include_tile_planes(self):
-        server = _server()
-        client = ServeClient(port=server.port)
-        try:
-            client.policy(threshold_mtops=2000.0, year=1995.5).require_ok()
-            body = client.metrics().require_ok()
-        finally:
-            client.close()
-            server.close()
-        tiles = body["serve"]["tiles"]
-        assert set(tiles) >= {"policy", "era", "scenario"}
-        assert tiles["policy"]["builds"] >= 1
-        assert set(tiles["policy"]["cache"]) >= {"hits", "misses",
-                                                 "evictions"}
-
     def test_get_machines_is_epoch_tagged(self):
         server = _server()
         client = ServeClient(port=server.port)
@@ -607,7 +592,7 @@ class TestMicroBatcher:
 
 class TestLRUCache:
     def test_eviction_order_respects_recency(self):
-        cache = LRUCache(2, counter_prefix="test.cache")
+        cache = LRUCache(2)
         cache.put("a", 1)
         cache.put("b", 2)
         assert cache.get("a") == 1  # refresh "a"; "b" is now oldest
@@ -618,13 +603,13 @@ class TestLRUCache:
         assert cache.info()["evictions"] == 1
 
     def test_zero_capacity_disables_caching(self):
-        cache = LRUCache(0, counter_prefix="test.cache")
+        cache = LRUCache(0)
         cache.put("a", 1)
         assert cache.get("a") is MISS
         assert len(cache) == 0
 
     def test_info_counts_are_exact(self):
-        cache = LRUCache(4, counter_prefix="test.cache")
+        cache = LRUCache(4)
         assert cache.get("a") is MISS
         cache.put("a", 1)
         assert cache.get("a") == 1
