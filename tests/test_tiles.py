@@ -1,13 +1,11 @@
-"""Tile plane tests: point parity, seam exactness, invalidation precision.
+"""Point answers from batch-local grids: parity with the full evaluators.
 
-The tile plane's whole contract is *bit-exactness by construction*:
-every lattice cell depends only on its own ``(threshold, year)`` pair,
-so a 16x16 tile's cells must equal the corresponding cells of any
-monolithic grid — not approximately, byte for byte.  These tests pin
-that contract at its sharpest edges (threshold-era boundary years,
-frontier knife-edges, off-lattice partial rebuilds), plus the epoch
-story: catalog events must invalidate exactly the planes whose inputs
-changed, provably skipping the rest (``hook_runs`` bookkeeping).
+Every lattice cell depends only on its own ``(threshold, year)`` pair,
+so a grid over a batch's own distinct axes must answer each point
+exactly as the scalar scorecard and a monolithic tensor do.  These
+tests pin that parity for :func:`repro.tiles.policy_cells` and
+:func:`repro.tiles.scenario_cells`, across catalog events (which must
+empty the answer memo), and through the serving engine's batching.
 """
 
 from __future__ import annotations
@@ -16,97 +14,29 @@ import dataclasses
 import json
 from concurrent.futures import ThreadPoolExecutor
 
-import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.catalog.events import (
     AmendMachine,
-    AmendThreshold,
     AppendMachine,
     apply_event,
     reset_catalog,
 )
-from repro.catalog.registry import catalog_epoch_info, current_epoch
-from repro.diffusion.policy import THRESHOLD_HISTORY, evaluate_policy
-from repro.diffusion.policy import threshold_at as scalar_threshold_at
-from repro.diffusion.policy_grid import evaluate_policy_grid
+from repro.catalog.registry import invalidation_count
+from repro.diffusion.policy import evaluate_policy
 from repro.machines.columns import machine_columns
-from repro.obs.errors import ThresholdInfeasibleError, ValidationError
-from repro.obs.trace import counters
 from repro.scenarios import HISTORICAL, flop_cap
 from repro.scenarios.grid import evaluate_scenario_grid
 from repro.serve.server import ServeConfig, ServiceEngine
-from repro.tiles import (
-    MAX_AXIS_POINTS,
-    TILE_SHAPE,
-    block_slices,
-    canonical_thresholds,
-    canonical_years,
-    clear_tile_planes,
-    policy_cells,
-    policy_point,
-    prime_tile_plane,
-    scenario_cells,
-    scenario_point,
-    threshold_at,
-    threshold_bucket,
-    tile_plane_info,
-    tiled_policy_grid,
-    tiled_scenario_grid,
-    year_bucket,
-)
-
-#: Grid arrays that must round-trip tobytes-identically through tiles.
-_POLICY_FIELDS = ("frontier_mtops", "requirements", "protected_counts",
-                  "illusory_counts", "burden_units",
-                  "uncontrollable_counts", "credible")
-_SCENARIO_FIELDS = _POLICY_FIELDS + ("in_force_mtops", "in_force_credible")
+from repro.tiles import policy_cells, scenario_cells
 
 
 @pytest.fixture(autouse=True)
 def _restore_catalog():
-    """Every test leaves the baseline catalog and cold tile planes."""
+    """Every test leaves the baseline catalog."""
     yield
     reset_catalog()
-    clear_tile_planes()
 
-
-def _grid_builds() -> int:
-    return counters().get("policy.grid_builds", 0)
-
-
-def _assert_grid_parity(tiled, mono, fields=_POLICY_FIELDS):
-    for field in fields:
-        a = np.asarray(getattr(tiled, field))
-        b = np.asarray(getattr(mono, field))
-        assert a.dtype == b.dtype, field
-        assert a.tobytes() == b.tobytes(), field
-
-
-# ---------------------------------------------------------------------------
-
-class TestGeometry:
-    def test_canonical_axes_live_in_their_bucket(self):
-        for bucket in (threshold_bucket(100.0), threshold_bucket(7000.0)):
-            points = canonical_thresholds(bucket)
-            assert len(points) == TILE_SHAPE[0]
-            assert all(threshold_bucket(t) == bucket for t in points)
-        bucket = year_bucket(1995.0)
-        years = canonical_years(bucket)
-        assert 0 < len(years) <= TILE_SHAPE[1]
-        assert all(year_bucket(y) == bucket for y in years)
-
-    def test_block_slices_cover_exactly_once(self):
-        blocks = block_slices(10, 3)
-        seen = [i for a, b in blocks for i in range(a, b)]
-        assert seen == list(range(10))
-        with pytest.raises(ValueError):
-            block_slices(10, 0)
-
-
-# ---------------------------------------------------------------------------
 
 class TestPointParity:
     def test_points_match_scalar_evaluator(self):
@@ -116,182 +46,31 @@ class TestPointParity:
         for (t, y), cell in zip(points, cells):
             assert cell == evaluate_policy(t, y)
 
-    def test_off_lattice_point_is_partial_rebuild_not_full_grid(self):
-        grid_builds = _grid_builds()
-        before = tile_plane_info()["policy"]
-        first = policy_point(123.4, 1991.7)  # lands off the canonical axes
-        assert first == evaluate_policy(123.4, 1991.7)
-        info = tile_plane_info()["policy"]
-        assert info["builds"] - before["builds"] == 1
-        assert info["partial_builds"] == before["partial_builds"]
-        # A second off-lattice point in the same bucket widens the
-        # cached tile in place (partial build), never a full lattice.
-        second = policy_point(131.3, 1991.9)
-        assert second == evaluate_policy(131.3, 1991.9)
-        info = tile_plane_info()["policy"]
-        assert info["partial_builds"] - before["partial_builds"] == 1
-        assert _grid_builds() == grid_builds
-
-    def test_same_bucket_batch_coalesces_to_one_build(self):
-        pairs = [(1600.0 + 10.0 * k, 1995.0 + 0.1 * k) for k in range(5)]
-        assert len({(threshold_bucket(t), year_bucket(y))
-                    for t, y in pairs}) == 1
-        builds = tile_plane_info()["policy"]["builds"]
-        cells = policy_cells(pairs)
-        assert tile_plane_info()["policy"]["builds"] - builds == 1
-        for (t, y), cell in zip(pairs, cells):
-            assert cell == evaluate_policy(t, y)
-
-    def test_axis_cap_resets_to_canonical_union_live(self):
-        # Keep widening one tile past MAX_AXIS_POINTS: answers stay
-        # exact and the axes are rebuilt instead of growing unboundedly.
-        years = [1994.6 + 1.4 * k / (MAX_AXIS_POINTS + 20)
-                 for k in range(MAX_AXIS_POINTS + 20)]
-        for y in years:
-            assert policy_point(300.0, y) == evaluate_policy(300.0, y)
-
-    def test_validation_errors_propagate(self):
-        with pytest.raises(ValidationError):
-            policy_point(-5.0, 1995.0)
-        with pytest.raises(ValidationError):
-            policy_point(2000.0, 1895.0)
-
-
-class TestThresholdAt:
-    def test_matches_scalar_lookup_across_eras(self):
-        for year in (1984.5, 1986.0, 1988.9, 1990.0, 1991.5,
-                     1993.0, 1994.1, 1997.5):
-            assert threshold_at(year) == scalar_threshold_at(year)
-
-    def test_pre_accord_years_raise_infeasible(self):
-        with pytest.raises(ThresholdInfeasibleError):
-            threshold_at(1984.0)
-        # ... and the failure poisons nothing: feasible lookups still work.
-        assert threshold_at(1985.0) == scalar_threshold_at(1985.0)
-
-
-# ---------------------------------------------------------------------------
-
-class TestSeamParity:
-    def test_tiled_grid_bit_exact_across_era_boundaries(self):
-        # Axes straddle every threshold-era start and the era threshold
-        # values themselves (the credibility knife-edges).
-        eps = 0.05
-        years = np.array(sorted(
-            {era.start_year + d for era in THRESHOLD_HISTORY
-             for d in (-eps, 0.0, eps)} | {1996.0, 1998.5}))
-        thresholds = np.array([99.9, 100.0, 160.0, 195.0, 195.1,
-                               1_499.9, 1_500.0, 7_000.0, 20_000.0])
-        mono = evaluate_policy_grid(thresholds, years)
-        tiled = tiled_policy_grid(thresholds, years, tile_shape=(4, 3))
-        _assert_grid_parity(tiled, mono)
-        # Dataclass equality at the seams, not just array bytes: cells
-        # adjacent to every tile boundary reconstruct identically.
-        for i in (0, 3, 4, 7, 8):
-            for j in (0, 2, 3, 5, 6):
-                if i < thresholds.size and j < years.size:
-                    assert tiled.result_at(i, j) == mono.result_at(i, j)
-
-    def test_assembly_reuses_cached_block_tiles(self):
-        thresholds = np.geomspace(50.0, 30_000.0, 12)
-        years = np.arange(1987.0, 1999.0, 1.1)
-        tiled_policy_grid(thresholds, years, tile_shape=(5, 4))
-        after_first = tile_plane_info()["policy"]
-        tiled_policy_grid(thresholds, years, tile_shape=(5, 4))
-        info = tile_plane_info()["policy"]
-        # Second assembly: pure cache hits, not one new build.
-        assert info["builds"] == after_first["builds"]
-        assert (info["cache"]["hits"] - after_first["cache"]["hits"]
-                >= len(block_slices(thresholds.size, 5))
-                * len(block_slices(years.size, 4)))
-
-
-_PROP_THRESHOLDS = np.geomspace(50.0, 30_000.0, 12)
-_PROP_YEARS = np.arange(1987.0, 1999.0, 1.1)
-_PROP_MONO = evaluate_policy_grid(_PROP_THRESHOLDS, _PROP_YEARS)
-
-
-class TestTileShapeProperty:
-    @settings(max_examples=25, deadline=None)
-    @given(rows=st.integers(min_value=1, max_value=7),
-           cols=st.integers(min_value=1, max_value=7))
-    def test_any_tile_shape_assembles_the_same_columns(self, rows, cols):
-        tiled = tiled_policy_grid(_PROP_THRESHOLDS, _PROP_YEARS,
-                                  tile_shape=(rows, cols))
-        assert (tiled.credible.tobytes()
-                == _PROP_MONO.credible.tobytes())
-        assert (tiled.protected_counts.tobytes()
-                == _PROP_MONO.protected_counts.tobytes())
-        assert (tiled.burden_units.tobytes()
-                == _PROP_MONO.burden_units.tobytes())
-
-
-# ---------------------------------------------------------------------------
 
 class TestInvalidation:
-    @staticmethod
-    def _invalidations() -> dict[str, int]:
-        return {name: info["invalidations"]
-                for name, info in tile_plane_info().items()}
-
-    def test_amend_threshold_spares_policy_tiles(self):
-        policy_point(2000.0, 1995.5)
-        threshold_at(1995.0)
-        runs_before = catalog_epoch_info()["hook_runs"].get(
-            "tiles.policy", 0)
-        before = self._invalidations()
-        apply_event(AmendThreshold(start_year=1994.1,
-                                   threshold_mtops=7_500.0,
-                                   label="amended"))
-        hook_runs = catalog_epoch_info()["hook_runs"]
-        # Scorecards never read THRESHOLD_HISTORY: the policy plane's
-        # hook must not have run, while the era plane's must have.
-        assert hook_runs.get("tiles.policy", 0) == runs_before
-        after = self._invalidations()
-        assert after["policy"] == before["policy"]
-        assert after["era"] == before["era"] + 1
-        assert after["scenario"] == before["scenario"] + 1
-        assert threshold_at(1995.0) == 7_500.0
-        # The surviving tile still answers, and still exactly.
-        assert policy_point(2000.0, 1995.5) == evaluate_policy(2000.0,
-                                                               1995.5)
-
     def test_machine_events_invalidate_and_reprove_parity(self):
         probe = (2000.0, 1995.5)
-        policy_point(*probe)
-        before = self._invalidations()["policy"]
+        policy_cells([probe])
+        before = invalidation_count()
         base = machine_columns().machines[-1]
         clone = dataclasses.replace(base, vendor="TileCo", model="TQ-1")
         apply_event(AppendMachine(machine=clone))
-        assert self._invalidations()["policy"] == before + 1
-        assert policy_point(*probe) == evaluate_policy(*probe)
+        assert invalidation_count() == before + 1
+        assert policy_cells([probe]) == [evaluate_policy(*probe)]
         apply_event(AmendMachine(
             key=clone.key,
             machine=dataclasses.replace(clone, units_installed=11)))
-        assert self._invalidations()["policy"] == before + 2
-        assert policy_point(*probe) == evaluate_policy(*probe)
+        assert invalidation_count() == before + 2
+        assert policy_cells([probe]) == [evaluate_policy(*probe)]
 
-    def test_reset_catalog_sweeps_every_plane(self):
-        policy_point(2000.0, 1995.5)
-        scenario_point(HISTORICAL, 2000.0, 1995.5)
-        before = self._invalidations()
-        reset_catalog()
-        after = tile_plane_info()
-        assert all(after[name]["invalidations"] == before[name] + 1
-                   for name in ("policy", "era", "scenario"))
-        assert all(after[name]["cache"]["entries"] == 0
-                   for name in ("policy", "era", "scenario"))
-
-
-# ---------------------------------------------------------------------------
 
 class TestScenarioTiles:
     def test_scenario_point_matches_monolithic_tensor(self):
         worlds = (HISTORICAL, flop_cap())
         t, y = 2_000.0, 1995.5
         grid = evaluate_scenario_grid(worlds, [t], [y])
-        for w, world in enumerate(worlds):
-            point = scenario_point(world, t, y)
+        points = scenario_cells([(world, t, y) for world in worlds])
+        for w, (world, point) in enumerate(zip(worlds, points)):
             assert point.scenario is world
             assert point.cell == grid.result_at(w, 0, 0)
             assert (point.threshold_in_force_mtops
@@ -299,82 +78,8 @@ class TestScenarioTiles:
             assert (point.in_force_credible
                     == bool(grid.in_force_credible[w, 0]))
 
-    def test_scenario_batch_groups_by_world_and_bucket(self):
-        worlds = (HISTORICAL, flop_cap())
-        points = [(w, 1_600.0 + 100.0 * k, 1995.0)
-                  for w in worlds for k in range(3)]
-        builds = tile_plane_info()["scenario"]["builds"]
-        cells = scenario_cells(points)
-        # Same bucket per world: one tile build per world, not per point.
-        assert (tile_plane_info()["scenario"]["builds"] - builds
-                == len(worlds))
-        grid = evaluate_scenario_grid(
-            worlds, sorted({t for _, t, _ in points}), [1995.0])
-        for (world, t, _), point in zip(points, cells):
-            w = grid.world_index(world)
-            i = list(grid.thresholds).index(t)
-            assert point.cell == grid.result_at(w, i, 0)
-
-    def test_tiled_scenario_grid_bit_exact(self):
-        worlds = (HISTORICAL, flop_cap())
-        thresholds = np.geomspace(100.0, 20_000.0, 9)
-        years = np.arange(1989.0, 1998.0, 1.3)
-        mono = evaluate_scenario_grid(worlds, thresholds, years)
-        tiled = tiled_scenario_grid(worlds, thresholds, years,
-                                    tile_shape=(4, 3))
-        _assert_grid_parity(tiled, mono, fields=_SCENARIO_FIELDS)
-        assert tiled.epoch == current_epoch()
-
-
-# ---------------------------------------------------------------------------
-
-class TestPriming:
-    def test_prime_builds_tiles_without_full_grids(self):
-        grid_builds = _grid_builds()
-        tile_builds = tile_plane_info()["policy"]["builds"]
-        report = prime_tile_plane()
-        assert report["points"] > 0
-        assert tile_plane_info()["policy"]["builds"] > tile_builds
-        assert _grid_builds() == grid_builds
-        # Primed coverage: the statutory mix answers from cache.
-        misses = tile_plane_info()["policy"]["cache"]["misses"]
-        policy_cells([(195.0, 1992.0), (1_500.0, 1995.0),
-                      (7_000.0, 1996.5)])
-        assert tile_plane_info()["policy"]["cache"]["misses"] == misses
-
-
-# ---------------------------------------------------------------------------
 
 class TestServeDispatch:
-    def test_point_endpoints_never_build_full_grids(self):
-        engine = ServiceEngine(ServeConfig(cache_size=0))
-        try:
-            policy_builds = _grid_builds()
-            scenario_builds = counters().get("scenarios.grid_builds", 0)
-            tile_builds = tile_plane_info()["policy"]["builds"]
-            for t, y in ((195.0, 1992.0), (2_000.0, 1995.5),
-                         (7_000.0, 1996.5)):
-                status, body = engine.handle(
-                    "policy", {"threshold_mtops": t, "year": y})
-                assert status == 200
-                cell = evaluate_policy(t, y)
-                assert body["frontier_mtops"] == cell.frontier_mtops
-                assert body["credible"] == cell.credible
-                assert (body["protected_count"]
-                        == len(cell.protected_applications))
-                assert body["burden_units"] == cell.burden_units
-                status, body = engine.handle(
-                    "scenario", {"scenario": "flop_cap",
-                                 "threshold_mtops": t, "year": y})
-                assert status == 200
-                assert "threshold_in_force_mtops" in body
-            assert _grid_builds() == policy_builds
-            assert (counters().get("scenarios.grid_builds", 0)
-                    == scenario_builds)
-            assert tile_plane_info()["policy"]["builds"] > tile_builds
-        finally:
-            engine.close()
-
     def test_batched_responses_match_one_at_a_time(self):
         payloads = [{"threshold_mtops": t, "year": y}
                     for t in (195.0, 2_000.0, 7_000.0)
