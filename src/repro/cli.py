@@ -122,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_policy.add_argument("--point", action="append", default=None,
                           metavar="T,Y",
                           help="answer single (threshold Mtops, year) "
-                               "scorecards from one grid over just the "
+                               "scorecards from grids over just the "
                                "given points; repeatable, overrides "
                                "--thresholds/--years")
     p_policy.add_argument("--profile", action="store_true",
@@ -511,7 +511,7 @@ def _parse_policy_points(specs: list[str]) -> list[tuple[float, float]]:
 
 
 def _cmd_policy_points(args: argparse.Namespace) -> str:
-    """Point-query path: one grid over the points' own coordinates."""
+    """Point-query path: grids over the points' own coordinates."""
     from repro.tiles import policy_cells
 
     points = _parse_policy_points(args.point)

@@ -982,7 +982,7 @@ def _bench_agentic_mix(quick: bool) -> dict:
     while the fused side compiles the whole stream into **one** plan:
     duplicates collapse by CSE, every rating shares one
     ``ctp_homogeneous_batch``, licenses share one controllability
-    matrix pass, point queries share one grid, and reviews run
+    matrix pass, point queries share batch-local grids, and reviews run
     once per distinct (year, policy) with their thresholds reused by
     the rate / threshold-at slots.
 

@@ -24,9 +24,10 @@ only adds latency — the backlog itself produces the batches.
 
 Coalescing is compositional: a batch handed to a dispatch callback may be
 fused again by the callback.  The ``/policy`` and ``/scenario``
-dispatchers answer all their new batch-mates from one grid over those
-points' own distinct coordinates (:mod:`repro.tiles`), so concurrent
-point queries cost one small grid build, not one build each.
+dispatchers answer all their new batch-mates from grids over those
+points' own distinct coordinates (:mod:`repro.tiles`: one per world, or
+one per year when the points are scattered), so concurrent point
+queries share grid builds instead of paying one each.
 
 Backpressure and deadlines
 --------------------------

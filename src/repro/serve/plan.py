@@ -3,7 +3,7 @@
 The serving tier built so far coalesces *within* an endpoint: the
 ``/rate`` MicroBatcher turns N concurrent ratings into one
 ``ctp_homogeneous_batch`` call, the ``/policy`` batcher answers its
-batch from one grid, and so on.  An agentic client does not speak one
+batch from batch-local grids, and so on.  An agentic client does not speak one
 endpoint at a time — a single planning turn issues a ``/review`` that
 needs a threshold, three ``/policy`` points in the same era, a
 ``/scenario`` point plus the ``/rate`` of the machine under discussion —
@@ -19,8 +19,8 @@ This module closes that gap with a classic query-planner shape:
 3. **Fuse** — unique queries are grouped into primitive columnar ops:
    one ``ctp_homogeneous_batch`` per coupling across *all* rating
    queries, one controllability matrix pass across all license queries,
-   one batch-local grid across all policy (and one across all scenario)
-   point queries, one era bisect per distinct year, one
+   batch-local grids across all policy and all scenario point queries
+   (:mod:`repro.tiles`), one era bisect per distinct year, one
    ``run_annual_review`` per distinct (year, policy).
 4. **Reuse across endpoints** — a review computes the threshold in
    force at its year with the *same* ``threshold_at`` the rate /
@@ -514,8 +514,8 @@ def _run_licenses(plan: QueryPlan) -> None:
 
 
 def _run_policies(plan: QueryPlan) -> None:
-    # One grid over the distinct thresholds and years of every policy
-    # point in the plan.
+    # Grids over the distinct thresholds and years of every policy point
+    # in the plan.
     from repro.tiles import policy_cells
 
     queries = plan.by_endpoint("policy")
@@ -540,8 +540,8 @@ def _run_policies(plan: QueryPlan) -> None:
 
 
 def _run_scenarios(plan: QueryPlan) -> None:
-    # One tensor over the distinct worlds, thresholds and years of every
-    # scenario point; the plan already holds the read guard (it is not
+    # One grid per world over its scenario points' distinct thresholds
+    # and years; the plan already holds the read guard (it is not
     # reentrant).
     from repro.tiles import scenario_cells
 

@@ -34,8 +34,8 @@ Request handling rules (the contract the test suite pins):
   concurrent requests through the shared multi-query planner
   (:mod:`repro.serve.plan`), which compiles every micro-batch into
   fused columnar ops (one :func:`repro.ctp.batch.ctp_homogeneous_batch`
-  per coupling, one controllability matrix pass, one batch-local
-  policy grid); results are bit-identical to dispatching each request
+  per coupling, one controllability matrix pass, batch-local
+  policy grids); results are bit-identical to dispatching each request
   alone, because every per-request value depends only on that request's
   row (for ``/policy`` and ``/scenario``, its grid/tensor cell — and
   both grid engines are bit-exact per cell);
@@ -340,7 +340,7 @@ class ServiceEngine:
         All four batchers share this dispatcher: the planner compiles
         whatever mix it is handed into fused columnar ops (one
         ``ctp_homogeneous_batch`` per coupling, one controllability
-        matrix pass, one batch-local grid per lattice) and scatters
+        matrix pass, batch-local grids for point queries) and scatters
         per-request bodies bit-identical to one-at-a-time dispatch.  The
         MicroBatcher already holds the catalog read guard for the whole
         dispatch (the guard is not reentrant), and fans a
@@ -592,11 +592,19 @@ class ServiceEngine:
         from repro.obs.trace import metrics_snapshot
 
         snapshot = metrics_snapshot()
+        counts = snapshot["counters"]
         snapshot["serve"] = {
             "uptime_s": round(time.monotonic() - self._started_at, 3),
             "config": asdict(self.config),
             "cache": self.cache.info(),
-            "tiles": {},  # empty: benchmarks/e2e/metrics.py iterates it
+            # The point memo of repro.tiles, in the plane shape
+            # benchmarks/e2e/metrics.py reads (it has no partial builds).
+            "tiles": {"memo": {
+                "cache": {"hits": counts.get("tiles.memo_hits", 0),
+                          "misses": counts.get("tiles.memo_misses", 0)},
+                "builds": counts.get("tiles.grid_builds", 0),
+                "partial_builds": 0,
+            }},
             "catalog_epoch": current_epoch(),
             "batchers": {name: batcher.stats()
                          for name, batcher in self.batchers.items()},

@@ -5,14 +5,18 @@ Every (threshold, year) cell of ``evaluate_policy_grid`` — and every
 depends only on its own coordinates, so a grid over a batch's own
 deduplicated axes answers each point bit for bit as the scalar
 evaluator does.  :func:`policy_cells` and :func:`scenario_cells` build
-exactly that one grid per call, over the points not already answered
-since the catalog last changed.
+such grids for the points not answered since the catalog last changed:
+one grid per world, or one per year instead when the threshold x year
+cross product would be much larger than the points themselves, so the
+cells a call builds stay linear in its point count.
 
 Those earlier answers sit in one bounded memo that is emptied whenever
 :func:`repro.catalog.registry.invalidation_count` moves (every applied
 event and every catalog reset moves it), so it needs no hook of its
 own.  It is what keeps a working set larger than the response cache
-(:mod:`repro.serve.cache`) from rebuilding grids on every batch.
+(:mod:`repro.serve.cache`) from rebuilding grids on every batch.  Its
+hits, misses and grid builds are the ``tiles.memo_hits``,
+``tiles.memo_misses`` and ``tiles.grid_builds`` counters.
 
 The planner imports both functions from here at call time, and the
 traced benchmark server wraps them by module attribute, so they keep
@@ -31,6 +35,7 @@ from repro.catalog.registry import invalidation_count, read_guard
 from repro.diffusion.policy import PolicyEffectiveness
 from repro.diffusion.policy_grid import evaluate_policy_grid
 from repro.obs.errors import ValidationError
+from repro.obs.trace import counter_inc
 from repro.scenarios.grid import evaluate_scenario_grid
 from repro.scenarios.spec import Scenario
 
@@ -40,6 +45,10 @@ __all__ = ["ScenarioPoint", "policy_cells", "scenario_cells"]
 #: carries at most ``queue_limit`` (default 1,024) points, so this keeps
 #: several batches' worth, at well under a kilobyte an answer.
 _MEMO_CAPACITY = 8_192
+
+#: A grid call's fixed cost in cells of cross-product work: about
+#: 0.1 ms of set-up against 0.3-2 us a cell (2-core x86 host).
+_GRID_CALL_CELLS = 100
 
 _memo: dict[Hashable, object] = {}
 _memo_count = -1
@@ -70,6 +79,8 @@ def _memoized(keys: list, compute: Callable[[list], list]) -> list:
             _memo_count = count
         found = {key: _memo[key] for key in keys if key in _memo}
     missing = [key for key in dict.fromkeys(keys) if key not in found]
+    counter_inc("tiles.memo_hits", len(keys) - len(missing))
+    counter_inc("tiles.memo_misses", len(missing))
     if missing:
         answers = compute(missing)
         found.update(zip(missing, answers))
@@ -95,20 +106,43 @@ def _axis(values) -> tuple[list[float], dict[float, int]]:
     return axis, {v: k for k, v in enumerate(axis)}
 
 
+def _grid_groups(points: list[tuple]) -> list[list[tuple]]:
+    """Distinct points ending in (threshold, year), grouped into grids.
+
+    One grid over all of them, unless its threshold x year cross product
+    exceeds the points by more than a grid call's fixed cost for each
+    extra grid that splitting by year takes; then one grid per year,
+    whose cells are exactly its points.
+    """
+    by_year: dict[float, list[tuple]] = {}
+    for point in points:
+        by_year.setdefault(point[-1], []).append(point)
+    n_thresholds = len({point[-2] for point in points})
+    spare_cells = n_thresholds * len(by_year) - len(points)
+    if spare_cells > _GRID_CALL_CELLS * (len(by_year) - 1):
+        return list(by_year.values())
+    return [points]
+
+
 def _policy_grid_cells(
     points: list[tuple[float, float]],
 ) -> list[PolicyEffectiveness]:
-    ts, row = _axis(t for t, _ in points)
-    ys, col = _axis(y for _, y in points)
-    grid = evaluate_policy_grid(ts, ys)
-    return [grid.result_at(row[t], col[y]) for t, y in points]
+    cells = {}
+    for group in _grid_groups(points):
+        ts, row = _axis(t for t, _ in group)
+        ys, col = _axis(y for _, y in group)
+        grid = evaluate_policy_grid(ts, ys)
+        counter_inc("tiles.grid_builds")
+        for t, y in group:
+            cells[t, y] = grid.result_at(row[t], col[y])
+    return [cells[point] for point in points]
 
 
 def policy_cells(
     points: Sequence[tuple[float, float]],
 ) -> list[PolicyEffectiveness]:
     """Scalar scorecards for a batch of (threshold, year) points, the
-    new ones read from one ``evaluate_policy_grid`` over their distinct
+    new ones read from ``evaluate_policy_grid`` over their distinct
     axes."""
     return _memoized([_point(t, y) for t, y in points], _policy_grid_cells)
 
@@ -116,21 +150,27 @@ def policy_cells(
 def _scenario_grid_cells(
     points: list[tuple[Scenario, float, float]],
 ) -> list[ScenarioPoint]:
-    worlds = tuple(dict.fromkeys(s for s, _, _ in points))
-    world = {s: w for w, s in enumerate(worlds)}
-    ts, row = _axis(t for _, t, _ in points)
-    ys, col = _axis(y for _, _, y in points)
-    grid = evaluate_scenario_grid(worlds, ts, ys, _caller_holds_guard=True)
-    out = []
-    for scenario, t, y in points:
-        w, j = world[scenario], col[y]
-        out.append(ScenarioPoint(
-            scenario=scenario,
-            cell=grid.result_at(w, row[t], j),
-            threshold_in_force_mtops=float(grid.in_force_mtops[w, j]),
-            in_force_credible=bool(grid.in_force_credible[w, j]),
-        ))
-    return out
+    by_world: dict[Scenario, list[tuple[Scenario, float, float]]] = {}
+    for point in points:
+        by_world.setdefault(point[0], []).append(point)
+    answers = {}
+    for scenario, world_points in by_world.items():
+        for group in _grid_groups(world_points):
+            ts, row = _axis(t for _, t, _ in group)
+            ys, col = _axis(y for _, _, y in group)
+            grid = evaluate_scenario_grid((scenario,), ts, ys,
+                                          _caller_holds_guard=True)
+            counter_inc("tiles.grid_builds")
+            for point in group:
+                _, t, y = point
+                j = col[y]
+                answers[point] = ScenarioPoint(
+                    scenario=scenario,
+                    cell=grid.result_at(0, row[t], j),
+                    threshold_in_force_mtops=float(grid.in_force_mtops[0, j]),
+                    in_force_credible=bool(grid.in_force_credible[0, j]),
+                )
+    return [answers[point] for point in points]
 
 
 def scenario_cells(
@@ -138,8 +178,8 @@ def scenario_cells(
     _caller_holds_guard: bool = False,
 ) -> list[ScenarioPoint]:
     """Answers for a batch of (scenario, threshold, year) points, the
-    new ones read from one ``evaluate_scenario_grid`` over their
-    distinct worlds and axes.
+    new ones read from ``evaluate_scenario_grid``, one world at a time,
+    over each world's distinct axes.
 
     The catalog read guard is held across the build and the reads, so
     every answer shares one epoch; dispatch paths that already hold it

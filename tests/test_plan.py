@@ -37,6 +37,7 @@ from repro.machines.columns import machine_columns
 from repro.obs.errors import ValidationError
 from repro.obs.trace import counters
 from repro.scenarios.grid import clear_scenario_caches, evaluate_scenario_grid
+from repro.scenarios.spec import HISTORICAL, Scenario
 from repro.serve import plan as plan_module
 from repro.serve.batching import MicroBatcher
 from repro.serve.client import ServeClient
@@ -44,6 +45,7 @@ from repro.serve.plan import build_plan, execute_plan, plan_stats
 from repro.serve.rpc import RPC_METHODS, rpc_response, run_stdio_bridge
 from repro.serve.schemas import parse_request
 from repro.serve.server import ServeConfig, ServeServer, ServiceEngine
+from repro import tiles
 from repro.tiles import ScenarioPoint, policy_cells, scenario_cells
 
 
@@ -307,6 +309,42 @@ class TestPointCells:
                 assert policy_cells([point]) == [evaluate_policy(*point)]
         finally:
             reset_catalog()
+
+    def test_new_points_share_one_grid_build(self):
+        policy_points = [(1000.0 + 37.0 * k, 1991.0 + 0.9 * k)
+                         for k in range(5)]
+        scenario_points = [(HISTORICAL, t, y) for t, y in policy_points]
+        reset_catalog()
+        before = counters()
+        policy_cells(policy_points)
+        scenario_cells(scenario_points)
+        after = counters()
+        for name in ("policy.grid_builds", "scenarios.grid_builds"):
+            assert after.get(name, 0) - before.get(name, 0) == 1
+
+    def test_distinct_worlds_build_one_cell_each(self):
+        """Worlds are grids of their own: N custom worlds with distinct
+        thresholds and years cost N cells, not an N x N x N tensor."""
+        n = 40
+        points = [(Scenario(name=f"custom-{k}"), 500.0 + 11.0 * k,
+                   1990.0 + 0.17 * k) for k in range(n)]
+        before = counters().get("scenarios.grid_points", 0)
+        answers = scenario_cells(points)
+        assert counters().get("scenarios.grid_points", 0) - before == n
+        for (scenario, t, y), answer in zip(points, answers):
+            fresh = evaluate_scenario_grid([scenario], [t], [y])
+            assert answer.cell == fresh.result_at(0, 0, 0)
+
+    def test_scattered_points_split_into_per_year_grids(self):
+        """A batch whose threshold x year cross product dwarfs its points
+        builds cells linear in the point count, with scalar parity."""
+        n = 150
+        points = [(300.0 + 23.0 * k, 1990.05 + 0.05 * k) for k in range(n)]
+        before = counters().get("policy.grid_points", 0)
+        cells = policy_cells(points)
+        built = counters().get("policy.grid_points", 0) - before
+        assert built <= (1 + tiles._GRID_CALL_CELLS) * n < n * n
+        assert cells == [evaluate_policy(t, y) for t, y in points]
 
     def test_validation_errors_propagate(self):
         with pytest.raises(ValidationError):

@@ -393,6 +393,29 @@ class TestIntrospection:
         assert "counters" in body  # the global metrics_snapshot rides along
         assert "credit_cache" in body
 
+    def test_metrics_include_tile_planes(self):
+        """serve.tiles reports the point memo in the plane shape the
+        end-to-end benchmark reads."""
+        server = _server(cache_size=0)
+        client = ServeClient(port=server.port)
+        try:
+            before = client.metrics().require_ok()["serve"]["tiles"]
+            for _ in range(2):
+                client.policy(threshold_mtops=2345.0,
+                              year=1994.25).require_ok()
+            after = client.metrics().require_ok()["serve"]["tiles"]
+        finally:
+            client.close()
+            server.close()
+        assert set(after) == {"memo"}
+        memo, memo_before = after["memo"], before["memo"]
+        assert set(memo) == {"cache", "builds", "partial_builds"}
+        hits = memo["cache"]["hits"] - memo_before["cache"]["hits"]
+        misses = memo["cache"]["misses"] - memo_before["cache"]["misses"]
+        assert hits >= 1 and hits + misses == 2
+        assert memo["builds"] - memo_before["builds"] == misses
+        assert memo["partial_builds"] == 0
+
     def test_get_machines_is_epoch_tagged(self):
         server = _server()
         client = ServeClient(port=server.port)
