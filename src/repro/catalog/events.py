@@ -1,4 +1,4 @@
-"""Event-sourced catalog mutation with epoch-consistent index patching.
+"""Event-sourced catalog mutation: mutate, bump the epoch, invalidate.
 
 The paper's analyses assume a frozen world, but the 1990s policy process
 was a stream of machine announcements and threshold revisions.  This
@@ -9,13 +9,12 @@ module is the single mutation path for that stream: three event kinds —
 * ``amend_threshold`` — one era of ``THRESHOLD_HISTORY`` is revised;
 
 — each applied under the registry's write guard (excluding in-flight
-micro-batches), bumping the global catalog epoch, **incrementally**
-patching the derived structures that can be patched (the catalog's
-year-sorted running-max index, the frontier bisect indexes, the machine
-columns store — one row appended/overwritten, suffixes re-folded from
-the touched position, bit-identical to a full rebuild), and purging
-exactly the caches the event kind can stale via
-:func:`repro.catalog.registry.invalidate_for`.
+micro-batches) in three steps: install the new catalog or era tuple
+(which rebuilds its own bisect index), bump the global catalog epoch,
+and drop exactly the derived stores the event kind can stale via
+:func:`repro.catalog.registry.invalidate_for`.  Dropped stores (the
+machine columns, the frontier indexes, …) rebuild lazily on their next
+read, through the same build path as a cold start.
 
 Events are **idempotent**: re-applying an event that matches current
 state returns ``applied=False`` without bumping the epoch.  That is what
@@ -28,8 +27,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Any, Mapping
-
-import numpy as np
 
 from repro.catalog.registry import (
     _bump_epoch,
@@ -56,7 +53,6 @@ __all__ = [
     "apply_event",
     "machine_from_payload",
     "parse_event",
-    "full_rebuild_parity",
     "reset_catalog",
 ]
 
@@ -285,33 +281,13 @@ def parse_event(payload: Mapping[str, Any]):
 # ---------------------------------------------------------------------------
 
 
-def _patch_machine_stores(machine: MachineSpec, row: int, epoch: int,
-                          base_columns, frontier_bases,
-                          removed_key: str | None) -> None:
-    """Install the patched columns + frontier indexes for one machine
-    event (runs under the write guard, after the catalog splice)."""
-    from repro.controllability.frontier import commit_frontier_patch
-    from repro.machines import columns as machine_columns_module
-    from repro.machines.columns import (
-        install_machine_columns,
-        patched_machine_columns,
-    )
-
-    patched = patched_machine_columns(base_columns, machine, row, epoch)
-    # The lazily-built lru entry (if any) predates the event; the patched
-    # set is installed over it and the stale build dropped so a later
-    # clear_machine_columns cannot resurrect pre-event columns.
-    machine_columns_module._build_columns.cache_clear()
-    install_machine_columns(patched)
-    commit_frontier_patch(frontier_bases, machine, removed_key)
-
-
-def _capture_bases():
-    """Materialize the patchable stores *before* the catalog mutates."""
-    from repro.controllability.frontier import prepare_frontier_patch
-    from repro.machines.columns import machine_columns
-
-    return machine_columns(), prepare_frontier_patch()
+def _commit(kind: str, key: str) -> AppliedEvent:
+    """Bump the epoch and drop the stores ``kind`` can stale (called
+    under the write guard, after the catalog mutation)."""
+    epoch = _bump_epoch()
+    invalidate_for(kind, epoch)
+    counter_inc("catalog.events_applied")
+    return AppliedEvent(kind, key, epoch, True)
 
 
 def apply_event(event) -> AppliedEvent:
@@ -320,8 +296,8 @@ def apply_event(event) -> AppliedEvent:
     Holds the registry write guard for the whole application, so no
     micro-batch dispatch can observe a half-applied event: a batch
     admitted at epoch N completes against epoch-N state, and the next
-    batch sees epoch N+1 with every derived structure already patched
-    and every stale-able cache already purged.
+    batch sees epoch N+1 with the catalog already rebuilt and every
+    stale-able store already dropped.
     """
     from repro.machines import catalog as cat
 
@@ -341,14 +317,8 @@ def apply_event(event) -> AppliedEvent:
                     f"different fields; use amend_machine",
                     context={"got": machine.key, "valid": "a new key"},
                 )
-            base_columns, frontier_bases = _capture_bases()
-            row = cat.append_machine_entry(machine)
-            epoch = _bump_epoch()
-            _patch_machine_stores(machine, row, epoch, base_columns,
-                                  frontier_bases, removed_key=None)
-            invalidate_for("append_machine", epoch)
-            counter_inc("catalog.events_applied")
-            return AppliedEvent(event.kind, machine.key, epoch, True)
+            cat.append_machine_entry(machine)
+            return _commit(event.kind, machine.key)
 
         if isinstance(event, AmendMachine):
             machine = event.machine
@@ -357,15 +327,8 @@ def apply_event(event) -> AppliedEvent:
                 counter_inc("catalog.event_noops")
                 return AppliedEvent(event.kind, machine.key,
                                     current_epoch(), False)
-            base_columns, frontier_bases = _capture_bases()
-            removed_key = existing.key
-            row = cat.amend_machine_entry(event.key, machine)
-            epoch = _bump_epoch()
-            _patch_machine_stores(machine, row, epoch, base_columns,
-                                  frontier_bases, removed_key=removed_key)
-            invalidate_for("amend_machine", epoch)
-            counter_inc("catalog.events_applied")
-            return AppliedEvent(event.kind, machine.key, epoch, True)
+            cat.amend_machine_entry(event.key, machine)
+            return _commit(event.kind, machine.key)
 
         if isinstance(event, AmendThreshold):
             from repro.diffusion import policy
@@ -383,11 +346,7 @@ def apply_event(event) -> AppliedEvent:
                     break
             policy.amend_threshold_era(
                 event.start_year, event.threshold_mtops, event.label)
-            epoch = _bump_epoch()
-            invalidate_for("amend_threshold", epoch)
-            counter_inc("catalog.events_applied")
-            return AppliedEvent(event.kind, str(event.start_year),
-                                epoch, True)
+            return _commit(event.kind, str(event.start_year))
 
     raise ValidationError(
         f"unknown event object {type(event).__name__}",
@@ -409,86 +368,3 @@ def reset_catalog() -> None:
         policy.restore_baseline_threshold_history()
         _reset_epoch()
         invalidate_all(0)
-
-
-# ---------------------------------------------------------------------------
-# Parity instrumentation (tests / churn benchmark / CI)
-# ---------------------------------------------------------------------------
-
-
-def _bytes_equal(a, b) -> bool:
-    a = np.asarray(a)
-    b = np.asarray(b)
-    return (a.shape == b.shape and a.dtype == b.dtype
-            and a.tobytes() == b.tobytes())
-
-
-def full_rebuild_parity() -> dict[str, bool]:
-    """Compare every incrementally-patched structure against a fresh
-    full rebuild, byte for byte.
-
-    The rebuilds bypass the lru caches (``__wrapped__``) so they re-walk
-    the *current* catalog without disturbing the installed patched
-    stores.  Returns one flag per structure plus ``"all"``; the churn
-    benchmark gates on this after **every** event.
-    """
-    from repro.controllability.frontier import (
-        UNCONTROLLABILITY_LAG_YEARS,
-        _build_frontier_index,
-        _classified_population,
-        _frontier_index,
-    )
-    from repro.controllability.index import DEFAULT_WEIGHTS
-    from repro.diffusion import policy
-    from repro.machines import catalog as cat
-    from repro.machines import columns as mcols
-
-    report: dict[str, bool] = {}
-
-    # Catalog bisect index vs a fresh sort/accumulate of the live tuple.
-    rebuilt_sorted = tuple(
-        sorted(cat.COMMERCIAL_SYSTEMS, key=lambda m: (m.year, m.key)))
-    report["catalog_order"] = rebuilt_sorted == cat._SORTED_BY_YEAR
-    report["catalog_years"] = _bytes_equal(
-        np.array([m.year for m in rebuilt_sorted]), cat._SORTED_YEARS)
-    report["catalog_running_max"] = _bytes_equal(
-        np.maximum.accumulate(
-            np.array([m.ctp_mtops for m in rebuilt_sorted])),
-        cat._RUNNING_MAX_MTOPS)
-
-    # Machine columns vs an uncached rebuild.
-    current = mcols.machine_columns()
-    rebuilt = mcols._build_columns.__wrapped__()
-    report["columns_machines"] = current.machines == rebuilt.machines
-    for name in ("intro_years", "entry_mtops", "max_config_mtops",
-                 "reachable_mtops", "field_upgradable", "units_installed",
-                 "controllability_index", "class_codes", "uncontrollable"):
-        report[f"columns_{name}"] = _bytes_equal(
-            getattr(current, name), getattr(rebuilt, name))
-    report["columns_index_by_key"] = (
-        dict(current.index_by_key) == dict(rebuilt.index_by_key))
-
-    # Default frontier index vs an uncached rebuild (fresh population
-    # scan included).
-    _classified_population.cache_clear()
-    live = _frontier_index(DEFAULT_WEIGHTS, UNCONTROLLABILITY_LAG_YEARS)
-    rebuilt_idx = _build_frontier_index.__wrapped__(
-        DEFAULT_WEIGHTS, UNCONTROLLABILITY_LAG_YEARS)
-    report["frontier_qualify_years"] = _bytes_equal(
-        live.qualify_years, rebuilt_idx.qualify_years)
-    report["frontier_running_max"] = _bytes_equal(
-        live.running_max, rebuilt_idx.running_max)
-    report["frontier_leaders"] = live.leaders == rebuilt_idx.leaders
-    report["frontier_population"] = (
-        live.population == rebuilt_idx.population)
-
-    # Threshold era columns vs the live era tuple.
-    report["era_starts"] = _bytes_equal(
-        np.array([e.start_year for e in policy.THRESHOLD_HISTORY]),
-        policy._ERA_STARTS)
-    report["era_thresholds"] = _bytes_equal(
-        np.array([e.threshold_mtops for e in policy.THRESHOLD_HISTORY]),
-        policy._ERA_THRESHOLDS)
-
-    report["all"] = all(report.values())
-    return report

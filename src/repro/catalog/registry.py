@@ -23,7 +23,7 @@ Three pieces live here:
   cannot stale them;
 * the **epoch lock** — a writer-preferring readers-writer lock.
   ``MicroBatcher`` dispatches hold :func:`read_guard` for the duration of
-  a batch; ``apply_event`` holds :func:`write_guard` while patching.  A
+  a batch; ``apply_event`` holds :func:`write_guard` while mutating.  A
   batch admitted at epoch N therefore always completes against the
   exact epoch-N state, and an event never observes a half-dispatched
   batch.

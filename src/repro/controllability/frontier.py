@@ -52,9 +52,6 @@ __all__ = [
     "install_frontier_index",
     "clear_frontier_indexes",
     "frontier_index_info",
-    "patched_frontier_index",
-    "prepare_frontier_patch",
-    "commit_frontier_patch",
 ]
 
 #: "...approximately two years after they are first shipped" (Chapter 3).
@@ -95,18 +92,13 @@ class _FrontierIndex:
     """Precomputed frontier: qualify dates, running-max ratings, and the
     machine that set each plateau.  A frontier query is one bisect.
 
-    ``population`` carries the qualifying machines in index order — it is
-    what lets mutation events patch the index incrementally (splice one
-    member, recompute the running-max/leader suffix) instead of
-    re-assessing the whole catalog.  ``None`` marks an index whose
-    population is unknown (legacy snapshot): such an index cannot be
-    patched and is dropped for lazy rebuild on mutation.
+    Machine events drop every index; the next query rebuilds it from the
+    live catalog (one classification pass and one accumulate).
     """
 
     qualify_years: np.ndarray       # sorted: machine year + lag
     running_max: np.ndarray         # running max of max-config ratings
     leaders: tuple[MachineSpec, ...]  # machine defining the plateau
-    population: tuple[MachineSpec, ...] | None = None
 
 
 # Snapshot-installed indexes (repro.store) take precedence over the
@@ -131,15 +123,12 @@ def install_frontier_index(
     qualify_years: np.ndarray,
     running_max: np.ndarray,
     leader_rows: np.ndarray,
-    population_rows: np.ndarray | None = None,
 ) -> None:
     """Install a precomputed frontier index (snapshot load path).
 
-    ``leader_rows`` and ``population_rows`` hold catalog row numbers
-    (order of ``COMMERCIAL_SYSTEMS``) so the machine objects are rejoined
-    from the live catalog without re-running any assessment.  Omitting
-    ``population_rows`` installs an unpatchable index (dropped and
-    rebuilt lazily on the first mutation event).
+    ``leader_rows`` holds catalog row numbers (order of
+    ``COMMERCIAL_SYSTEMS``) so the machine objects are rejoined from the
+    live catalog without re-running any assessment.
     """
     counter_inc("frontier.index_installs")
     machines = tuple(_catalog.COMMERCIAL_SYSTEMS)
@@ -147,8 +136,6 @@ def install_frontier_index(
         qualify_years=qualify_years,
         running_max=running_max,
         leaders=tuple(machines[int(row)] for row in leader_rows),
-        population=None if population_rows is None else tuple(
-            machines[int(row)] for row in population_rows),
     )
 
 
@@ -160,11 +147,11 @@ def clear_frontier_indexes() -> None:
     _classified_population.cache_clear()
 
 
-# Nuclear-path registration only (kinds=()): event applies patch the
-# installed indexes in place via commit_frontier_patch instead of
-# dropping them.
+# Machine events drop installed and memoized indexes alike; each rebuilds
+# lazily on its next query.
 register_invalidation_hook(
-    "controllability.frontier", lambda epoch: clear_frontier_indexes())
+    "controllability.frontier", lambda epoch: clear_frontier_indexes(),
+    kinds=("append_machine", "amend_machine"))
 
 
 @lru_cache(maxsize=256)
@@ -191,122 +178,7 @@ def _build_frontier_index(
         qualify_years=qualify,
         running_max=running,
         leaders=tuple(leaders),
-        population=machines,
     )
-
-
-def patched_frontier_index(
-    index: _FrontierIndex,
-    weights: ControllabilityWeights,
-    lag_years: float,
-    machine: MachineSpec,
-    removed_key: str | None = None,
-) -> "_FrontierIndex | None":
-    """``index`` with ``removed_key`` dropped and ``machine`` spliced in
-    (if it classifies UNCONTROLLABLE under ``weights``).
-
-    Only the suffix from the touched position is recomputed: the running
-    maximum is a sequential fold, so seeding it with the unchanged prefix
-    value (and the prefix leader) reproduces a full rebuild bit for bit —
-    including the strict ``>`` plateau rule, under which a machine whose
-    rating ties the current running max does **not** displace the
-    incumbent leader.  Returns ``None`` when the index carries no
-    population (unpatchable; caller drops it for lazy rebuild), or the
-    index unchanged when the event does not touch this population.
-    """
-    if index.population is None:
-        return None
-    population = list(index.population)
-    start = len(population)
-    removed = False
-    if removed_key is not None:
-        for i, member in enumerate(population):
-            if member.key == removed_key:
-                del population[i]
-                start = i
-                removed = True
-                break
-    qualifies = (
-        assess(machine, weights).classification
-        is Classification.UNCONTROLLABLE
-    )
-    if qualifies:
-        import bisect
-
-        keys = [(m.year, m.key) for m in population]
-        pos = bisect.bisect_left(keys, (machine.year, machine.key))
-        population.insert(pos, machine)
-        start = min(start, pos)
-    if not removed and not qualifies:
-        return index
-    counter_inc("frontier.index_patches")
-    members = tuple(population)
-    tail = members[start:]
-    tail_years = [m.year + lag_years for m in tail]
-    tail_ratings = [max_config_mtops(m) for m in tail]
-    if start:
-        seed = float(index.running_max[start - 1])
-        tail_running = np.maximum.accumulate(
-            np.concatenate([[seed], tail_ratings]))[1:]
-        best = seed
-        leader: MachineSpec | None = index.leaders[start - 1]
-    else:
-        tail_running = (np.maximum.accumulate(np.array(tail_ratings))
-                        if tail else np.empty(0))
-        best = 0.0
-        leader = None
-    leaders = list(index.leaders[:start])
-    for m, rating in zip(tail, tail_ratings):
-        if rating > best:
-            best = rating
-            leader = m
-        leaders.append(leader)
-    qualify = np.concatenate([index.qualify_years[:start], tail_years]) \
-        if members else np.empty(0)
-    running = np.concatenate([index.running_max[:start], tail_running]) \
-        if members else np.empty(0)
-    qualify.setflags(write=False)
-    running.setflags(write=False)
-    return _FrontierIndex(
-        qualify_years=qualify,
-        running_max=running,
-        leaders=tuple(leaders),
-        population=members,
-    )
-
-
-def prepare_frontier_patch() -> dict:
-    """Snapshot the patchable frontier indexes **before** a catalog
-    mutation (repro.catalog.events calls this under its write guard).
-
-    The default-weights/default-lag index is materialized here if it is
-    not already cached, so the hot index every serve endpoint touches is
-    always maintained incrementally rather than rebuilt.
-    """
-    bases = dict(_INSTALLED_INDEXES)
-    default_key = (DEFAULT_WEIGHTS, UNCONTROLLABILITY_LAG_YEARS)
-    if default_key not in bases:
-        bases[default_key] = _frontier_index(*default_key)
-    return bases
-
-
-def commit_frontier_patch(
-    bases: dict,
-    machine: MachineSpec,
-    removed_key: str | None = None,
-) -> None:
-    """Apply a mutation to every pre-captured frontier index and drop the
-    memoized builders (exotic weightings rebuild lazily from the patched
-    catalog)."""
-    _build_frontier_index.cache_clear()
-    _classified_population.cache_clear()
-    for (weights, lag_years), base in bases.items():
-        patched = patched_frontier_index(
-            base, weights, lag_years, machine, removed_key)
-        if patched is None:
-            _INSTALLED_INDEXES.pop((weights, lag_years), None)
-        else:
-            _INSTALLED_INDEXES[(weights, lag_years)] = patched
 
 
 def uncontrollable_population(

@@ -100,7 +100,7 @@ _BASELINE_THRESHOLD_HISTORY: tuple[ThresholdEra, ...] = THRESHOLD_HISTORY
 
 def _install_threshold_history(history: tuple[ThresholdEra, ...]) -> None:
     """Swap in a new era tuple and rebuild the bisect columns (four
-    elements — the 'patch' is a rebuild by construction).  Re-exports on
+    elements).  Re-exports on
     ``repro.diffusion`` are refreshed; epoch bumps and downstream cache
     invalidation are orchestrated by ``repro.catalog.events``."""
     global THRESHOLD_HISTORY, _ERA_STARTS, _ERA_THRESHOLDS

@@ -416,19 +416,10 @@ COMMERCIAL_SYSTEMS: tuple[MachineSpec, ...] = (
 )
 
 
-_BY_KEY = {m.key: m for m in COMMERCIAL_SYSTEMS}
-assert len(_BY_KEY) == len(COMMERCIAL_SYSTEMS), "duplicate machine keys"
-
-
 def _normalize_key(key: str) -> str:
     """Case-fold and collapse surrounding/internal whitespace, so
     ``"  cray   c916 "`` resolves to the ``"Cray C916"`` catalog entry."""
     return " ".join(str(key).split()).casefold()
-
-
-_BY_NORMALIZED_KEY = {_normalize_key(m.key): m for m in COMMERCIAL_SYSTEMS}
-assert len(_BY_NORMALIZED_KEY) == len(COMMERCIAL_SYSTEMS), \
-    "machine keys collide after normalization"
 
 
 def find_machine(key: str) -> MachineSpec:
@@ -454,22 +445,48 @@ def find_machine(key: str) -> MachineSpec:
     )
 
 
-# Precomputed year-sorted index.  The catalog is immutable between mutation
-# events (repro.catalog.events), so the sort, the year array, and the
-# running maximum of ratings are computed once per epoch; every query below
-# is a bisect against these arrays instead of a fresh scan/sort of the
-# catalog.  Events splice these structures in place of rebuilding them —
-# see append_machine_entry / amend_machine_entry at the bottom of this
-# module.
-_SORTED_BY_YEAR: tuple[MachineSpec, ...] = tuple(
-    sorted(COMMERCIAL_SYSTEMS, key=lambda m: (m.year, m.key))
-)
-_SORTED_YEARS: np.ndarray = np.array([m.year for m in _SORTED_BY_YEAR])
-_RUNNING_MAX_MTOPS: np.ndarray = np.maximum.accumulate(
-    np.array([m.ctp_mtops for m in _SORTED_BY_YEAR])
-)
-_SORTED_YEARS.setflags(write=False)
-_RUNNING_MAX_MTOPS.setflags(write=False)
+# Derived lookups: the key dicts and the year-sorted index.  The catalog is
+# immutable between mutation events (repro.catalog.events), so the sort, the
+# year array, and the running maximum of ratings are computed once per
+# catalog by _install_catalog — at import, after every machine event, and on
+# reset (52 machines: one sort and one accumulate).  Every query below is a
+# bisect against these arrays instead of a fresh scan/sort of the catalog.
+
+
+@lru_cache(maxsize=None)
+def _by_architecture(arch: Architecture) -> tuple[MachineSpec, ...]:
+    return tuple(m for m in _SORTED_BY_YEAR if m.architecture is arch)
+
+
+def _install_catalog(systems: tuple[MachineSpec, ...]) -> None:
+    """Swap in a new machine tuple and rebuild every structure derived
+    from it.  Re-exports on ``repro`` and ``repro.machines`` are
+    refreshed."""
+    global COMMERCIAL_SYSTEMS, _BY_KEY, _BY_NORMALIZED_KEY
+    global _SORTED_BY_YEAR, _SORTED_YEARS, _RUNNING_MAX_MTOPS
+    import sys
+
+    COMMERCIAL_SYSTEMS = systems
+    _BY_KEY = {m.key: m for m in systems}
+    _BY_NORMALIZED_KEY = {_normalize_key(m.key): m for m in systems}
+    _SORTED_BY_YEAR = tuple(sorted(systems, key=lambda m: (m.year, m.key)))
+    _SORTED_YEARS = np.array([m.year for m in _SORTED_BY_YEAR])
+    _RUNNING_MAX_MTOPS = np.maximum.accumulate(
+        np.array([m.ctp_mtops for m in _SORTED_BY_YEAR]))
+    _SORTED_YEARS.setflags(write=False)
+    _RUNNING_MAX_MTOPS.setflags(write=False)
+    _by_architecture.cache_clear()
+    for name in ("repro", "repro.machines"):
+        module = sys.modules.get(name)
+        if module is not None and hasattr(module, "COMMERCIAL_SYSTEMS"):
+            module.COMMERCIAL_SYSTEMS = COMMERCIAL_SYSTEMS
+
+
+_install_catalog(COMMERCIAL_SYSTEMS)
+assert len(_BY_KEY) == len(COMMERCIAL_SYSTEMS), "duplicate machine keys"
+assert len(_BY_NORMALIZED_KEY) == len(COMMERCIAL_SYSTEMS), \
+    "machine keys collide after normalization"
+
 
 #: The import-time catalog, kept for ``restore_baseline_catalog``.
 _BASELINE_SYSTEMS: tuple[MachineSpec, ...] = COMMERCIAL_SYSTEMS
@@ -481,11 +498,6 @@ def commercial_by_year(through: float | None = None) -> list[MachineSpec]:
         return list(_SORTED_BY_YEAR)
     cut = int(np.searchsorted(_SORTED_YEARS, through, side="right"))
     return list(_SORTED_BY_YEAR[:cut])
-
-
-@lru_cache(maxsize=None)
-def _by_architecture(arch: Architecture) -> tuple[MachineSpec, ...]:
-    return tuple(m for m in _SORTED_BY_YEAR if m.architecture is arch)
 
 
 def commercial_by_architecture(arch: Architecture) -> list[MachineSpec]:
@@ -559,64 +571,15 @@ def catalog_index_info() -> dict[str, int]:
 # --------------------------------------------------------------------------
 # Event-sourced mutation support (repro.catalog.events).
 #
-# These helpers patch the module's catalog state — the systems tuple, the
-# key lookup dicts, and the year-sorted bisect index — without a full
-# rebuild.  They only touch *this* module: epoch bumps, invalidation of
-# downstream caches, and patching of the columns/frontier stores are
-# orchestrated by repro.catalog.events under its write guard.  Splices are
-# bit-identical to the import-time construction because a running maximum
-# is a sequential fold: the suffix from the touched position can be
-# recomputed by seeding np.maximum.accumulate with the unchanged prefix.
+# Every mutation installs a whole new machine tuple through _install_catalog.
+# Epoch bumps and invalidation of downstream stores are orchestrated by
+# repro.catalog.events under its write guard.
 # --------------------------------------------------------------------------
 
 
-def _rebind_catalog_exports() -> None:
-    """Refresh ``COMMERCIAL_SYSTEMS`` re-exports on packages that bound the
-    tuple at import time (``repro`` and ``repro.machines``)."""
-    import sys
-
-    for name in ("repro", "repro.machines"):
-        module = sys.modules.get(name)
-        if module is not None and hasattr(module, "COMMERCIAL_SYSTEMS"):
-            module.COMMERCIAL_SYSTEMS = COMMERCIAL_SYSTEMS
-
-
-def _install_sorted_index(
-    sorted_by_year: tuple[MachineSpec, ...],
-    sorted_years: np.ndarray,
-    running_max: np.ndarray,
-) -> None:
-    global _SORTED_BY_YEAR, _SORTED_YEARS, _RUNNING_MAX_MTOPS
-    sorted_years = np.ascontiguousarray(sorted_years)
-    running_max = np.ascontiguousarray(running_max)
-    sorted_years.setflags(write=False)
-    running_max.setflags(write=False)
-    _SORTED_BY_YEAR = sorted_by_year
-    _SORTED_YEARS = sorted_years
-    _RUNNING_MAX_MTOPS = running_max
-    _by_architecture.cache_clear()
-
-
-def _sorted_insert_position(machine: MachineSpec) -> int:
-    """Insertion index that keeps ``_SORTED_BY_YEAR`` sorted by
-    ``(year, key)`` — exactly the import-time sort key."""
-    import bisect
-
-    keys = [(m.year, m.key) for m in _SORTED_BY_YEAR]
-    return bisect.bisect_left(keys, (machine.year, machine.key))
-
-
-def append_machine_entry(machine: MachineSpec) -> int:
-    """Splice a new machine into the catalog; returns its catalog row.
-
-    The new entry lands at the end of ``COMMERCIAL_SYSTEMS`` (catalog row
-    order is append-only, which is what lets the columns store patch one
-    row) and at its ``(year, key)`` position in the bisect index, where
-    the running maximum is extended with ``max(prefix_max, rating)`` —
-    no re-accumulation of the unchanged prefix, and the suffix only needs
-    an elementwise maximum against the inserted value.
-    """
-    global COMMERCIAL_SYSTEMS, _BY_KEY, _BY_NORMALIZED_KEY
+def append_machine_entry(machine: MachineSpec) -> None:
+    """Add a new machine at the end of the catalog (row order is
+    append-only)."""
     from repro.obs.errors import ValidationError
 
     if machine.key in _BY_KEY:
@@ -632,104 +595,33 @@ def append_machine_entry(machine: MachineSpec) -> int:
             context={"got": machine.key,
                      "valid": "a key distinct after case/whitespace folding"},
         )
-
-    pos = _sorted_insert_position(machine)
-    rating = machine.ctp_mtops
-    prev_max = float(_RUNNING_MAX_MTOPS[pos - 1]) if pos else -np.inf
-    inserted_max = max(prev_max, rating)
-    new_running = np.concatenate([
-        _RUNNING_MAX_MTOPS[:pos],
-        [inserted_max],
-        np.maximum(_RUNNING_MAX_MTOPS[pos:], inserted_max),
-    ])
-    new_years = np.concatenate([
-        _SORTED_YEARS[:pos], [machine.year], _SORTED_YEARS[pos:],
-    ])
-    new_sorted = _SORTED_BY_YEAR[:pos] + (machine,) + _SORTED_BY_YEAR[pos:]
-
-    row = len(COMMERCIAL_SYSTEMS)
-    COMMERCIAL_SYSTEMS = COMMERCIAL_SYSTEMS + (machine,)
-    _BY_KEY = {**_BY_KEY, machine.key: machine}
-    _BY_NORMALIZED_KEY = {**_BY_NORMALIZED_KEY, normalized: machine}
-    _install_sorted_index(new_sorted, new_years, new_running)
-    _rebind_catalog_exports()
+    _install_catalog(COMMERCIAL_SYSTEMS + (machine,))
     counter_inc("catalog.appends")
-    return row
 
 
-def amend_machine_entry(key: str, machine: MachineSpec) -> int:
-    """Replace the catalog entry at ``key`` with ``machine`` in place;
-    returns the (unchanged) catalog row.
-
-    The replacement keeps the row position in ``COMMERCIAL_SYSTEMS`` so
-    columns stores can overwrite exactly one row.  The bisect index is
-    re-spliced (the amended year/key may move the entry) and the running
-    maximum re-accumulated from the earliest touched position, seeded by
-    the unchanged prefix — identical bits to a full rebuild.
-    """
-    global COMMERCIAL_SYSTEMS, _BY_KEY, _BY_NORMALIZED_KEY
+def amend_machine_entry(key: str, machine: MachineSpec) -> None:
+    """Replace the catalog entry at ``key`` with ``machine``, keeping its
+    row position."""
     from repro.obs.errors import ValidationError
 
     old = find_machine(key)
-    row = COMMERCIAL_SYSTEMS.index(old)
-    normalized = _normalize_key(machine.key)
-    other = _BY_NORMALIZED_KEY.get(normalized)
+    other = _BY_NORMALIZED_KEY.get(_normalize_key(machine.key))
     if other is not None and other is not old:
         raise ValidationError(
             f"amended key {machine.key!r} collides with {other.key!r}",
             context={"got": machine.key,
                      "valid": "the amended key or an unused one"},
         )
-
-    old_pos = _SORTED_BY_YEAR.index(old)
-    without = _SORTED_BY_YEAR[:old_pos] + _SORTED_BY_YEAR[old_pos + 1:]
-    import bisect
-
-    keys = [(m.year, m.key) for m in without]
-    new_pos = bisect.bisect_left(keys, (machine.year, machine.key))
-    new_sorted = without[:new_pos] + (machine,) + without[new_pos:]
-    start = min(old_pos, new_pos)
-    tail = np.array([m.ctp_mtops for m in new_sorted[start:]])
-    if start:
-        seeded = np.concatenate([[_RUNNING_MAX_MTOPS[start - 1]], tail])
-        tail_running = np.maximum.accumulate(seeded)[1:]
-    else:
-        tail_running = np.maximum.accumulate(tail)
-    new_running = np.concatenate([_RUNNING_MAX_MTOPS[:start], tail_running])
-    new_years = np.array([m.year for m in new_sorted])
-
     systems = list(COMMERCIAL_SYSTEMS)
-    systems[row] = machine
-    COMMERCIAL_SYSTEMS = tuple(systems)
-    by_key = dict(_BY_KEY)
-    del by_key[old.key]
-    by_key[machine.key] = machine
-    _BY_KEY = by_key
-    by_norm = dict(_BY_NORMALIZED_KEY)
-    del by_norm[_normalize_key(old.key)]
-    by_norm[normalized] = machine
-    _BY_NORMALIZED_KEY = by_norm
-    _install_sorted_index(new_sorted, new_years, new_running)
-    _rebind_catalog_exports()
+    systems[systems.index(old)] = machine
+    _install_catalog(tuple(systems))
     counter_inc("catalog.amends")
-    return row
 
 
 def restore_baseline_catalog() -> None:
-    """Rebuild every catalog structure from the import-time machine set
-    (used by ``repro.catalog.events.reset_catalog``)."""
-    global COMMERCIAL_SYSTEMS, _BY_KEY, _BY_NORMALIZED_KEY
-
-    COMMERCIAL_SYSTEMS = _BASELINE_SYSTEMS
-    _BY_KEY = {m.key: m for m in COMMERCIAL_SYSTEMS}
-    _BY_NORMALIZED_KEY = {_normalize_key(m.key): m for m in COMMERCIAL_SYSTEMS}
-    new_sorted = tuple(sorted(COMMERCIAL_SYSTEMS, key=lambda m: (m.year, m.key)))
-    _install_sorted_index(
-        new_sorted,
-        np.array([m.year for m in new_sorted]),
-        np.maximum.accumulate(np.array([m.ctp_mtops for m in new_sorted])),
-    )
-    _rebind_catalog_exports()
+    """Reinstate the import-time machine set (used by
+    ``repro.catalog.events.reset_catalog``)."""
+    _install_catalog(_BASELINE_SYSTEMS)
 
 
 def _register_catalog_hooks() -> None:

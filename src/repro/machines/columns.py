@@ -12,8 +12,9 @@ arrays.
 
 One ``assess()`` per machine, ever: the controllability columns are
 filled from the memoized assessment path, and the whole column set is
-itself built lazily exactly once per process (``columns.machine_builds``
-counts builds; ``columns.machine_hits`` counts reuse).
+itself built lazily once per catalog state — machine events drop it and
+the next read rebuilds it (``columns.machine_builds`` counts builds;
+``columns.machine_hits`` counts reuse).
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ __all__ = [
     "install_machine_columns",
     "clear_machine_columns",
     "machine_columns_info",
-    "patched_machine_columns",
 ]
 
 
@@ -76,7 +76,7 @@ class MachineColumns:
     uncontrollable: np.ndarray
     #: Catalog row by machine key, for O(1) request-to-column joins.
     index_by_key: Mapping[str, int] = field(compare=False)
-    #: Catalog epoch the columns were built (or patched) under.
+    #: Catalog epoch the columns were built under.
     epoch: int = field(default=0, compare=False)
 
     @property
@@ -134,7 +134,7 @@ _INSTALLED: MachineColumns | None = None
 
 def machine_columns() -> MachineColumns:
     """The columnar catalog: snapshot-installed if present, else built
-    lazily (one build per process)."""
+    lazily (one build per catalog state)."""
     if _INSTALLED is not None:
         counter_inc("columns.machine_hits")
         return _INSTALLED
@@ -184,81 +184,6 @@ def machine_columns_from_arrays(
     )
 
 
-def patched_machine_columns(
-    base: MachineColumns,
-    machine: MachineSpec,
-    row: int,
-    epoch: int,
-) -> MachineColumns:
-    """``base`` with exactly one row appended or overwritten.
-
-    Row ``row == base.size`` appends (``append_machine``); a smaller row
-    overwrites in place (``amend_machine``).  Only the touched machine is
-    assessed — every other row is carried over byte-for-byte, which is
-    what makes the patch bit-identical to a full rebuild (the rebuild
-    recomputes those rows deterministically to the same values).
-    """
-    from repro.controllability.index import _CLASS_CODES, assess
-
-    if not 0 <= row <= base.size:
-        from repro.obs.errors import ValidationError
-
-        raise ValidationError(
-            f"patched row {row} outside columns of size {base.size}",
-            context={"got": row, "valid": f"0..{base.size}"},
-        )
-    counter_inc("columns.machine_patches")
-    assessment = assess(machine)
-    max_cfg = max_config_mtops(machine)
-    code = _CLASS_CODES[assessment.classification]
-    values = {
-        "intro_years": machine.year,
-        "entry_mtops": machine.ctp_mtops,
-        "max_config_mtops": max_cfg,
-        "reachable_mtops": max_cfg if machine.field_upgradable
-        else machine.ctp_mtops,
-        "field_upgradable": machine.field_upgradable,
-        "units_installed": np.nan if machine.units_installed is None
-        else machine.units_installed,
-        "controllability_index": assessment.index,
-        "class_codes": code,
-        "uncontrollable": code == 0,
-    }
-
-    def _patch(name: str) -> np.ndarray:
-        column = np.asarray(getattr(base, name))
-        cell = np.array([values[name]], dtype=column.dtype)
-        if row == base.size:
-            out = np.concatenate([column, cell])
-        else:
-            out = column.copy()
-            out[row] = cell[0]
-        out.setflags(write=False)
-        return out
-
-    if row == base.size:
-        machines = base.machines + (machine,)
-    else:
-        entries = list(base.machines)
-        entries[row] = machine
-        machines = tuple(entries)
-    return MachineColumns(
-        machines=machines,
-        intro_years=_patch("intro_years"),
-        entry_mtops=_patch("entry_mtops"),
-        max_config_mtops=_patch("max_config_mtops"),
-        reachable_mtops=_patch("reachable_mtops"),
-        field_upgradable=_patch("field_upgradable"),
-        units_installed=_patch("units_installed"),
-        controllability_index=_patch("controllability_index"),
-        class_codes=_patch("class_codes"),
-        uncontrollable=_patch("uncontrollable"),
-        index_by_key=MappingProxyType(
-            {m.key: i for i, m in enumerate(machines)}),
-        epoch=epoch,
-    )
-
-
 def install_machine_columns(columns: MachineColumns) -> None:
     """Make ``columns`` the process-wide column set (snapshot load path)."""
     global _INSTALLED
@@ -273,12 +198,11 @@ def clear_machine_columns() -> None:
     _build_columns.cache_clear()
 
 
-# The clear hook is registered with the catalog invalidation registry, so
-# `repro.catalog.invalidate_all` resets this store atomically with every
-# other cache.  Event applies do NOT clear it — they install a patched
-# column set instead (kinds=() keeps this off the precise per-event path).
+# Machine events drop the column set (snapshot-installed or built); the
+# next read rebuilds it from the live catalog.
 register_invalidation_hook(
-    "machines.columns", lambda epoch: clear_machine_columns())
+    "machines.columns", lambda epoch: clear_machine_columns(),
+    kinds=("append_machine", "amend_machine"))
 
 
 def machine_columns_info() -> dict[str, int]:

@@ -41,7 +41,6 @@ WORKLOAD_NAMES = (
     "acquisition_mc",
     "snapshot_cold_start",
     "serve_prefork_load",
-    "catalog_churn",
     "scenario_grid",
     "agentic_mix",
 )
@@ -689,176 +688,6 @@ def _bench_serve_prefork_load(quick: bool) -> dict:
     return row
 
 
-def _bench_catalog_churn(quick: bool) -> dict:
-    """Sustained /rate + /policy load while catalog events apply.
-
-    Closed-loop clients hammer a live :class:`ServiceEngine` while a
-    sequence of mutation events — two appends (one landing *exactly* on
-    the frontier running-max), a machine amendment, and a threshold
-    amendment — applies through :func:`repro.catalog.events.apply_event`.
-    After **every** event the incrementally-patched stores are checked
-    bit-for-bit against a full rebuild (``full_rebuild_parity``), so
-    ``max_rel_err`` is 0.0 iff every per-event parity held and 1.0
-    otherwise, and ``p99_ms`` gates tail latency of reads under churn.
-
-    The patch-vs-rebuild comparison is timed in a separate *quiet*
-    phase (min-of-k over ``reset_catalog`` cycles, no reader threads):
-    under load, ``apply_event`` mostly measures how long the write
-    guard waits for in-flight readers — scheduler noise, not patch
-    cost.  The scalar side accumulates what a non-incremental
-    implementation would pay per event: drop every derived store and
-    rebuild the machine columns plus the default frontier index from
-    scratch.  ``speedup`` is therefore rebuild-vs-patch work avoided.
-    """
-    import dataclasses
-    import threading
-
-    from repro.catalog import events as catalog_events
-    from repro.catalog.registry import current_epoch
-    from repro.controllability.frontier import (
-        DEFAULT_WEIGHTS,
-        UNCONTROLLABILITY_LAG_YEARS,
-        _frontier_index,
-        clear_frontier_indexes,
-    )
-    from repro.controllability.index import clear_assessment_caches
-    from repro.machines.columns import clear_machine_columns, machine_columns
-    from repro.serve.server import ServeConfig, ServiceEngine
-
-    catalog_events.reset_catalog()
-    base_index = _frontier_index(DEFAULT_WEIGHTS,
-                                 UNCONTROLLABILITY_LAG_YEARS)
-    # The knife-edge append: a clone of the last frontier leader under a
-    # new key rates *exactly* the current running max — the patched index
-    # must neither regress nor flip the leader (strict-> rule).
-    edge = dataclasses.replace(base_index.leaders[-1],
-                               vendor="ChurnCo", model="Edge-1")
-    fresh = dataclasses.replace(base_index.leaders[-1],
-                                vendor="ChurnCo", model="Bulk-1",
-                                quoted_ctp_mtops=None,
-                                quoted_peak_mflops=None)
-    events = [
-        catalog_events.AppendMachine(machine=fresh),
-        catalog_events.AppendMachine(machine=edge),
-        catalog_events.AmendMachine(
-            key=fresh.key,
-            machine=dataclasses.replace(fresh, units_installed=7)),
-        catalog_events.AmendThreshold(start_year=1994.1,
-                                      threshold_mtops=7500.0,
-                                      label="churn interim"),
-    ]
-
-    n_threads = 4 if quick else 8
-    settle_s = 0.05 if quick else 0.2
-    rate_payloads = [
-        {"clock_mhz": 40.0 + 7.0 * (i % 23), "word_bits": 64 if i % 3 else 32,
-         "processors": 1 + (i % 16), "coupling": "shared", "year": 1995.5}
-        for i in range(32)
-    ]
-    policy_payloads = [
-        {"threshold_mtops": t, "year": y}
-        for t in (195.0, 2000.0, 7000.0) for y in (1992.0, 1995.5)
-    ]
-    config = ServeConfig(queue_limit=8192, deadline_ms=60_000.0,
-                         cache_size=1024)
-    engine = ServiceEngine(config)
-    stop = threading.Event()
-    latencies: list[list[float]] = [[] for _ in range(n_threads)]
-    failures: list[int] = [0] * n_threads
-
-    def client(idx: int) -> None:
-        j = 0
-        while not stop.is_set():
-            if j % 4 == 3:
-                endpoint = "policy"
-                payload = policy_payloads[j % len(policy_payloads)]
-            else:
-                endpoint = "rate"
-                payload = rate_payloads[(idx * 31 + j) % len(rate_payloads)]
-            t0 = time.perf_counter()
-            status, _ = engine.handle(endpoint, payload)
-            latencies[idx].append(time.perf_counter() - t0)
-            if status != 200:
-                failures[idx] += 1
-            j += 1
-
-    threads = [threading.Thread(target=client, args=(i,))
-               for i in range(n_threads)]
-    parity_per_event: list[bool] = []
-    applied = 0
-    try:
-        for thread in threads:
-            thread.start()
-        time.sleep(settle_s)
-        for event in events:
-            outcome = catalog_events.apply_event(event)
-            applied += int(outcome.applied)
-            parity_per_event.append(
-                catalog_events.full_rebuild_parity()["all"])
-            time.sleep(settle_s)
-    finally:
-        stop.set()
-        for thread in threads:
-            thread.join()
-        engine.close()
-    final_epoch = current_epoch()
-
-    # Quiet timing phase: patch cost vs what the same churn costs
-    # without incremental maintenance (drop every derived store and
-    # rebuild columns + frontier per event), min-of-k with the catalog
-    # reset to baseline and the derived stores primed between repeats.
-    repeats = 3 if quick else 5
-    patch_times: list[float] = []
-    rebuild_times: list[float] = []
-    for _ in range(repeats):
-        catalog_events.reset_catalog()
-        machine_columns()
-        _frontier_index(DEFAULT_WEIGHTS, UNCONTROLLABILITY_LAG_YEARS)
-        t0 = time.perf_counter()
-        for event in events:
-            catalog_events.apply_event(event)
-        patch_times.append(time.perf_counter() - t0)
-        rebuild_s = 0.0
-        for _ in events:
-            clear_assessment_caches()
-            clear_machine_columns()
-            clear_frontier_indexes()
-            t0 = time.perf_counter()
-            machine_columns()
-            _frontier_index(DEFAULT_WEIGHTS, UNCONTROLLABILITY_LAG_YEARS)
-            rebuild_s += time.perf_counter() - t0
-        rebuild_times.append(rebuild_s)
-    incremental_s = min(patch_times)
-    rebuild_s = min(rebuild_times)
-    catalog_events.reset_catalog()
-
-    flat = sorted(lat for per in latencies for lat in per)
-    p99_ms = (float(np.percentile(flat, 99.0)) * 1e3) if flat else 0.0
-    all_parity = bool(parity_per_event) and all(parity_per_event)
-    scalar = Timing(name="full_rebuild_per_event",
-                    best_seconds=rebuild_s,
-                    mean_seconds=sum(rebuild_times) / repeats,
-                    repeats=repeats, warmup=0)
-    fast = Timing(name="incremental_patch",
-                  best_seconds=incremental_s,
-                  mean_seconds=sum(patch_times) / repeats,
-                  repeats=repeats, warmup=0)
-    row = _row("catalog_churn",
-               f"{len(events)} catalog events (append/knife-edge append/"
-               f"amend/threshold) applied under {n_threads} closed-loop "
-               f"/rate+/policy clients; incremental index patching vs a "
-               f"per-event full rebuild, bit-parity checked after every "
-               f"event",
-               scalar, fast, 0.0 if all_parity else 1.0)
-    row["events_applied"] = applied
-    row["final_epoch"] = final_epoch
-    row["parity_per_event"] = parity_per_event
-    row["p99_ms"] = p99_ms
-    row["requests_served"] = len(flat)
-    row["request_failures"] = sum(failures)
-    return row
-
-
 def _bench_scenario_grid(quick: bool) -> dict:
     """Counterfactual-world tensor, sequential per-world vs one build.
 
@@ -1100,7 +929,6 @@ _BENCHES = {
     "acquisition_mc": _bench_acquisition_mc,
     "snapshot_cold_start": _bench_snapshot_cold_start,
     "serve_prefork_load": _bench_serve_prefork_load,
-    "catalog_churn": _bench_catalog_churn,
     "scenario_grid": _bench_scenario_grid,
     "agentic_mix": _bench_agentic_mix,
 }

@@ -469,9 +469,10 @@ class ServiceEngine:
         path.
 
         Never cached and never batched: ``apply_event`` serializes under
-        the catalog write guard, drains in-flight batches, patches the
-        columnar stores incrementally, and bumps the epoch (which purges
-        this engine's response cache through the invalidation registry).
+        the catalog write guard, drains in-flight batches, installs the
+        new catalog, and bumps the epoch (which drops the derived stores
+        and purges this engine's response cache through the invalidation
+        registry).
         Replaying an already-applied event is an explicit no-op
         (``applied: false``), so a client may POST the same event to
         every worker of a pre-fork fleet to converge all processes.
@@ -701,6 +702,13 @@ class _Handler(BaseHTTPRequestHandler):
                 "Content-Length header is required",
                 context={"got": length, "valid": "integer byte count"},
             ) from None
+        if length < 0:
+            # rfile.read(-1) would block until the client closes.
+            self.close_connection = True
+            raise ValidationError(
+                "Content-Length must not be negative",
+                context={"got": length, "valid": f"0..{_MAX_BODY_BYTES}"},
+            )
         if length > _MAX_BODY_BYTES:
             self.close_connection = True
             raise ValidationError(
@@ -770,6 +778,13 @@ class ServeServer:
                 (self.config.host, self.config.port), handler,
                 bind_and_activate=False)
             self.httpd.socket.close()  # replace the unused auto-socket
+            # Non-blocking: when several servers select on one shared
+            # socket, all wake for a connection and one wins accept().
+            # A blocking accept() would hold the losers' serve_forever
+            # loops until the next connection, so shutdown() could wait
+            # forever; non-blocking, they get BlockingIOError, which
+            # socketserver ignores.
+            listen_socket.setblocking(False)
             self.httpd.socket = listen_socket  # type: ignore[assignment]
             self.httpd.server_address = listen_socket.getsockname()
         else:

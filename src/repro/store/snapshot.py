@@ -64,9 +64,9 @@ __all__ = [
 ]
 
 #: Bump on any incompatible change to the artifact layout.
-#: 2: added ``frontier.population_rows`` (patchable frontier index) and
-#: the catalog ``epoch`` to the manifest.
-FORMAT_VERSION = 2
+#: 2: added ``frontier.population_rows`` and the catalog ``epoch`` to the
+#: manifest.  3: dropped ``frontier.population_rows``.
+FORMAT_VERSION = 3
 
 #: Where ``repro snapshot`` / ``repro serve --snapshot`` look by default.
 DEFAULT_SNAPSHOT_DIR = Path(".repro-snapshot")
@@ -229,9 +229,6 @@ def build_snapshot(
         arrays["frontier.running_max"] = index.running_max
         arrays["frontier.leader_rows"] = np.array(
             [row_by_key[m.key] for m in index.leaders], dtype=np.int64)
-        arrays["frontier.population_rows"] = np.array(
-            [row_by_key[m.key] for m in (index.population or ())],
-            dtype=np.int64)
 
         # 3. Application drift columns + the requirement matrix over the
         #    canonical year grid (bit-exact scalar-pow construction).
@@ -405,7 +402,6 @@ def load_snapshot(path: Path | str = DEFAULT_SNAPSHOT_DIR,
             qualify_years=load("frontier.qualify_years"),
             running_max=load("frontier.running_max"),
             leader_rows=load("frontier.leader_rows"),
-            population_rows=load("frontier.population_rows"),
         )
 
         years = tuple(float(y) for y in manifest["years"])
@@ -464,7 +460,7 @@ def verify_active_snapshot() -> None:
         )
 
 
-# A catalog mutation patches the in-process stores past the loaded
+# A catalog mutation moves the in-process stores past the loaded
 # artifact: the process is no longer serving "from the snapshot", so
 # deactivate it (healthz/metrics report a fresh-build identity and the
 # fleet skew detector sees agreement again once every worker applies).

@@ -1,16 +1,17 @@
-"""Event-sourced catalog mutation: epochs, incremental index parity,
+"""Event-sourced catalog mutation: epochs, rebuild-on-event parity,
 atomic invalidation, and the serving surfaces built on top.
 
-The load-bearing property is **per-event bit-parity**: after every
-applied event, the incrementally patched columnar stores and frontier
-indexes must equal a from-scratch rebuild bit for bit
-(``full_rebuild_parity``).  Around it: the knife-edge frontier append
-(a new machine rating *exactly* the current running max must neither
-regress the index nor flip the leader), threshold amendments straddling
-``threshold_at`` bisect era boundaries, the epoch read/write guard that
-lets an in-flight micro-batch complete against its admission epoch, the
-epoch-keyed serve cache, and the pre-fork ``snapshot_stale`` fast
-failure.
+The load-bearing property is **no stale derived state**: after every
+applied event, the machine columns and frontier indexes a reader sees
+must equal an uncached rebuild bit for bit, and every serving surface
+must answer like a fresh engine.  A hypothesis state machine drives
+random event sequences to check both.  Around it: the knife-edge
+frontier append (a new machine rating *exactly* the current running max
+must neither regress the index nor flip the leader), threshold
+amendments straddling ``threshold_at`` bisect era boundaries, the epoch
+read/write guard that lets an in-flight micro-batch complete against its
+admission epoch, the epoch-keyed serve cache, and the pre-fork
+``snapshot_stale`` fast failure.
 """
 
 from __future__ import annotations
@@ -20,14 +21,24 @@ import json
 import threading
 import time
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, settings
+from hypothesis import strategies as st
+from hypothesis.stateful import (
+    Bundle,
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    multiple,
+    rule,
+)
 
 from repro.catalog.events import (
     AmendMachine,
     AmendThreshold,
     AppendMachine,
     apply_event,
-    full_rebuild_parity,
     parse_event,
     reset_catalog,
 )
@@ -40,19 +51,23 @@ from repro.catalog.registry import (
 )
 from repro.controllability.frontier import (
     UNCONTROLLABILITY_LAG_YEARS,
+    _build_frontier_index,
+    _classified_population,
     _frontier_index,
     lower_bound_uncontrollable,
 )
 from repro.controllability.index import DEFAULT_WEIGHTS, assess
+from repro.diffusion import policy
 from repro.diffusion.policy import threshold_at
-from repro.machines.catalog import find_machine
-from repro.machines.columns import machine_columns
+from repro.machines.catalog import COMMERCIAL_SYSTEMS, find_machine
+from repro.machines.columns import _build_columns, machine_columns
 from repro.obs.errors import (
     CatalogLookupError,
     SnapshotStaleError,
     ValidationError,
 )
 from repro.serve.cache import MISS, LRUCache
+from repro.serve.rpc import rpc_response
 from repro.serve.server import ServeConfig, ServiceEngine
 
 
@@ -83,8 +98,6 @@ class TestEventApplication:
         assert outcome.applied and outcome.epoch == 1
         assert current_epoch() == 1
         assert find_machine("TestCo Churn-1").ctp_mtops == 1800.0
-        report = full_rebuild_parity()
-        assert report["all"], report
 
     def test_replay_is_explicit_noop(self):
         event = parse_event(_payload())
@@ -111,7 +124,6 @@ class TestEventApplication:
             == 12.0
         assert before.units_installed[row] != 12.0
         assert find_machine("TestCo Churn-1").units_installed == 12
-        assert full_rebuild_parity()["all"]
 
     def test_amend_baseline_machine_no_stale_path(self):
         """Satellite regression: after a mutation, *no* reader path may
@@ -133,7 +145,6 @@ class TestEventApplication:
             after_cols.units_installed[after_cols.index_by_key[machine.key]])
         assert after_units != before_units
         assert assess(live).index != before_index
-        assert full_rebuild_parity()["all"]
 
     def test_epoch_strictly_monotonic_across_kinds(self):
         epochs = []
@@ -153,7 +164,6 @@ class TestEventApplication:
         assert threshold_at(1995.0) == 1500.0
         with pytest.raises(CatalogLookupError):
             find_machine("TestCo Churn-1")
-        assert full_rebuild_parity()["all"]
 
     def test_parse_event_rejects_unknown_kinds_and_extra_fields(self):
         with pytest.raises(ValidationError):
@@ -162,6 +172,155 @@ class TestEventApplication:
             parse_event({**_payload(), "surprise": 1})
         with pytest.raises(ValidationError):
             parse_event({"event": "amend_threshold", "start_year": 1994.1})
+
+
+# ---------------------------------------------------------------------------
+# Random event sequences: no reader may see stale derived state
+# ---------------------------------------------------------------------------
+
+_BASELINE = tuple(COMMERCIAL_SYSTEMS)
+_YEARS = (1988.0, 1990.5, 1992.0, 1993.5, 1995.0, 1995.5, 1997.25)
+# Existing ratings make running-max ties (the knife edge) likely.
+_RATINGS = (None, *sorted({m.ctp_mtops for m in _BASELINE})[::6])
+_UNITS = (None, 5, 200, 5000)
+_COLUMN_ARRAYS = ("intro_years", "entry_mtops", "max_config_mtops",
+                  "reachable_mtops", "field_upgradable", "units_installed",
+                  "controllability_index", "class_codes", "uncontrollable")
+_PROBES = (
+    [("policy", {"threshold_mtops": t, "year": y})
+     for t, y in ((2000.0, 1995.5), (195.0, 1992.0), (7000.0, 1997.0))]
+    + [("threshold_at", {"year": y}) for y in (1991.5, 1995.0, 1997.5)]
+    + [("scenario", {"scenario": "historical", "threshold_mtops": 2000.0,
+                     "year": 1995.5}),
+       ("scenario", {"scenario": "historical", "year": 1996.25})]
+)
+_RPC_METHODS = {"policy": "policy_scorecard", "threshold_at": "threshold_at"}
+
+
+def _same_bytes(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return (a.shape == b.shape and a.dtype == b.dtype
+            and a.tobytes() == b.tobytes())
+
+
+def _variant(base, year, rating, units, **fields):
+    if rating is not None:
+        fields.update(quoted_ctp_mtops=rating, quoted_peak_mflops=None)
+    return dataclasses.replace(base, year=year, units_installed=units,
+                               **fields)
+
+
+def _rpc_body(engine, i: int, endpoint: str, payload: dict) -> dict:
+    method = _RPC_METHODS.get(endpoint)
+    if method is not None:
+        return rpc_response(engine, {"jsonrpc": "2.0", "id": i,
+                                     "method": method,
+                                     "params": payload})["result"]
+    envelope = rpc_response(engine, {
+        "jsonrpc": "2.0", "id": i, "method": "batch",
+        "params": {"requests": [{"endpoint": endpoint, **payload}]}})
+    slot = envelope["result"]["results"][0]
+    assert slot["status"] == 200, slot
+    return slot["body"]
+
+
+class CatalogEventMachine(RuleBasedStateMachine):
+    """Random append / amend / threshold events against one long-lived,
+    caching engine; after every step the derived stores and every
+    serving surface are checked against a rebuild from scratch."""
+
+    keys = Bundle("keys")
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.engine = ServiceEngine(ServeConfig(cache_size=64))
+        self.appended = 0
+
+    def teardown(self) -> None:
+        self.engine.close()
+        reset_catalog()
+
+    @initialize(target=keys)
+    def baseline_keys(self):
+        return multiple(*(m.key for m in _BASELINE))
+
+    @rule(target=keys, base=st.sampled_from(_BASELINE),
+          year=st.sampled_from(_YEARS), rating=st.sampled_from(_RATINGS),
+          units=st.sampled_from(_UNITS))
+    def append_machine(self, base, year, rating, units):
+        self.appended += 1
+        machine = _variant(base, year, rating, units, vendor="StateCo",
+                           model=f"M-{self.appended}")
+        assert apply_event(AppendMachine(machine=machine)).applied
+        return machine.key
+
+    @rule(key=keys, year=st.sampled_from(_YEARS),
+          rating=st.sampled_from(_RATINGS), units=st.sampled_from(_UNITS))
+    def amend_machine(self, key, year, rating, units):
+        current = find_machine(key)
+        machine = _variant(current, year, rating, units)
+        outcome = apply_event(AmendMachine(key=key, machine=machine))
+        assert outcome.applied == (machine != current)
+
+    @rule(era=st.integers(0, len(policy.THRESHOLD_HISTORY) - 1),
+          threshold=st.sampled_from((160.0, 250.0, 1500.0, 4000.0, 7000.0)))
+    def amend_threshold(self, era, threshold):
+        start = policy.THRESHOLD_HISTORY[era].start_year
+        apply_event(AmendThreshold(start_year=start,
+                                   threshold_mtops=threshold))
+
+    @invariant()
+    def derived_stores_equal_an_uncached_rebuild(self):
+        live = machine_columns()
+        rebuilt = _build_columns.__wrapped__()
+        assert live.machines == rebuilt.machines
+        assert dict(live.index_by_key) == dict(rebuilt.index_by_key)
+        for name in _COLUMN_ARRAYS:
+            assert _same_bytes(getattr(live, name),
+                               getattr(rebuilt, name)), name
+        lag = UNCONTROLLABILITY_LAG_YEARS
+        assert _classified_population(DEFAULT_WEIGHTS, False) \
+            == _classified_population.__wrapped__(DEFAULT_WEIGHTS, False)
+        index = _frontier_index(DEFAULT_WEIGHTS, lag)
+        fresh = _build_frontier_index.__wrapped__(DEFAULT_WEIGHTS, lag)
+        assert _same_bytes(index.qualify_years, fresh.qualify_years)
+        assert _same_bytes(index.running_max, fresh.running_max)
+        assert index.leaders == fresh.leaders
+
+    @invariant()
+    def surfaces_answer_like_a_fresh_engine(self):
+        singles = []
+        for endpoint, payload in _PROBES:
+            status, body = self.engine.handle(endpoint, payload)
+            assert status == 200, body
+            singles.append(body)
+        status, envelope = self.engine.handle("batch", {"requests": [
+            {"endpoint": endpoint, **payload}
+            for endpoint, payload in _PROBES]})
+        assert status == 200
+        assert [slot["status"] for slot in envelope["results"]] \
+            == [200] * len(_PROBES)
+        batched = [slot["body"] for slot in envelope["results"]]
+        rpc = [_rpc_body(self.engine, i, endpoint, payload)
+               for i, (endpoint, payload) in enumerate(_PROBES)]
+
+        invalidate_all()
+        fresh = ServiceEngine(ServeConfig(cache_size=0))
+        try:
+            expected = [fresh.handle(endpoint, payload)[1]
+                        for endpoint, payload in _PROBES]
+        finally:
+            fresh.close()
+        want = json.dumps(expected)
+        assert json.dumps(singles) == want
+        assert json.dumps(batched) == want
+        assert json.dumps(rpc) == want
+
+
+TestCatalogEventSequences = CatalogEventMachine.TestCase
+TestCatalogEventSequences.settings = settings(
+    max_examples=12, stateful_step_count=6, deadline=None,
+    suppress_health_check=[HealthCheck.too_slow])
 
 
 class TestFrontierEdgeCases:
@@ -183,7 +342,6 @@ class TestFrontierEdgeCases:
         after = lower_bound_uncontrollable(probe_year)
         assert after.mtops == before.mtops
         assert after.machine.key == incumbent.key
-        assert full_rebuild_parity()["all"]
 
     def test_append_above_frontier_advances_running_max(self):
         index = _frontier_index(DEFAULT_WEIGHTS, UNCONTROLLABILITY_LAG_YEARS)
@@ -198,7 +356,6 @@ class TestFrontierEdgeCases:
         after = lower_bound_uncontrollable(probe_year)
         assert after.mtops == before.mtops * 2
         assert after.machine.key == "ZZEdge Champ-1"
-        assert full_rebuild_parity()["all"]
 
 
 class TestThresholdEraBoundaries:
@@ -214,7 +371,6 @@ class TestThresholdEraBoundaries:
         assert threshold_at(1991.5) == 250.0
         assert threshold_at(1994.0999) == 250.0
         assert threshold_at(1994.1) == 1500.0
-        assert full_rebuild_parity()["all"]
 
     def test_amend_threshold_noop_and_unknown_era(self):
         outcome = apply_event(AmendThreshold(start_year=1994.1,

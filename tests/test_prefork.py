@@ -203,6 +203,45 @@ class TestInheritedMode:
         assert fleet.exit_codes() == {0: 0, 1: 0}
 
 
+class TestSharedListenSocket:
+    def test_servers_sharing_a_socket_close_without_hanging(self):
+        """Servers selecting on one shared listening socket all wake for
+        each connection, and only one wins ``accept()``.  The losers must
+        not block in ``accept()``, or ``close()`` waits on them until the
+        next connection arrives.  Without the fix about half of the
+        trials hang."""
+        for _ in range(10):
+            listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+            listener.bind(("127.0.0.1", 0))
+            listener.listen(16)
+            port = listener.getsockname()[1]
+            # dup() shares one open file description, as fork() does.
+            servers = [ServeServer(ServeConfig(port=0),
+                                   listen_socket=listener.dup()).start()
+                       for _ in range(2)]
+            closers = [threading.Thread(target=server.close, daemon=True)
+                       for server in servers]
+            try:
+                for _ in range(24):
+                    _fresh_get(port, "/healthz")
+                for closer in closers:
+                    closer.start()
+                for closer in closers:
+                    closer.join(5.0)
+                hung = sum(closer.is_alive() for closer in closers)
+            finally:
+                # A hung server is parked in accept(): connect until it
+                # takes one and its loop sees the shutdown request.
+                for _ in range(10):
+                    if not any(closer.is_alive() for closer in closers):
+                        break
+                    socket.create_connection(("127.0.0.1", port)).close()
+                    for closer in closers:
+                        closer.join(0.5)
+                listener.close()
+            assert hung == 0, f"{hung} server(s) hung in close()"
+
+
 class TestSnapshotIdentity:
     def test_workers_report_parent_snapshot_hash(self, tmp_path):
         info = build_snapshot(tmp_path / "snapshot")

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import http.client
 import json
+import socket
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -310,6 +311,21 @@ class TestErrorPaths:
             body = json.loads(response.read())
         finally:
             conn.close()
+        assert response.status == 400
+        assert body["error"]["type"] == "ValidationError"
+
+    def test_negative_content_length_is_structured_400(self, server):
+        """``rfile.read(-1)`` would block until the client hangs up, so
+        a negative length must be answered at once, not read."""
+        with socket.create_connection(("127.0.0.1", server.port),
+                                      timeout=2.0) as sock:
+            sock.sendall(b"POST /rate HTTP/1.1\r\nHost: x\r\n"
+                         b"Content-Type: application/json\r\n"
+                         b"Content-Length: -1\r\n\r\n")
+            response = http.client.HTTPResponse(sock)
+            response.begin()
+            body = json.loads(response.read())
+            assert sock.recv(1) == b""  # the server hung up
         assert response.status == 400
         assert body["error"]["type"] == "ValidationError"
 
