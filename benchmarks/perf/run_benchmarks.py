@@ -26,7 +26,9 @@ def main() -> int:
     args = parser.parse_args()
     payload = run_benchmarks(quick=args.quick, output=args.output)
     for w in payload["workloads"]:
-        print(f"{w['name']:<26} {w['speedup']:>10.1f}x "
+        speedup = ("n/a" if w["speedup"] is None
+                   else f"{w['speedup']:.1f}x")
+        print(f"{w['name']:<26} {speedup:>11} "
               f"(scalar {w['scalar']['best_seconds'] * 1e3:.2f} ms, "
               f"batch {w['batch']['best_seconds'] * 1e3:.2f} ms)")
     print(json.dumps({"wrote": args.output}))

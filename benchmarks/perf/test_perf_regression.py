@@ -10,8 +10,6 @@ speedups (hundreds to tens of thousands x).
 
 from __future__ import annotations
 
-import os
-
 import pytest
 
 from repro.perf.workloads import WORKLOAD_NAMES, run_benchmarks
@@ -78,13 +76,13 @@ def test_parallel_keysearch_deterministic(results):
 
 
 def test_parallel_keysearch_speedup_floor(results):
-    cores = os.cpu_count() or 1
-    if cores < 4:
-        pytest.skip(f"only {cores} CPU core(s): process fan-out cannot "
-                    f"beat serial here; parity still asserted above")
+    row = results["parallel_keysearch"]
+    if row["speedup"] is None:
+        # Too few cores for a pool to beat serial; parity asserted above.
+        pytest.skip(row["speedup_null_reason"])
     # Pool startup is amortized over ~0.5 s of work, so 1.5x is a
     # conservative floor on a 4-core runner.
-    assert results["parallel_keysearch"]["speedup"] >= 1.5
+    assert row["speedup"] >= 1.5
 
 
 def test_policy_grid_speedup_floor(results):
@@ -138,11 +136,8 @@ def test_serve_prefork_responses_bit_identical(results):
 
 def test_serve_prefork_throughput_floor(results):
     row = results["serve_prefork_load"]
-    cores = os.cpu_count() or 1
-    if cores < 4:
-        reason = row.get("gate_skipped",
-                         f"only {cores} CPU core(s)")
-        pytest.skip(reason)
+    if row["speedup"] is None:
+        pytest.skip(row["speedup_null_reason"])
     # N workers over N cores must at least double peak throughput vs one
     # process; parity is asserted unconditionally above.
     assert row["speedup"] >= 2.0

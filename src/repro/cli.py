@@ -116,9 +116,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help='review dates: comma list and/or inclusive '
                                'ranges "lo:hi[:step]" (default '
                                '"1988:1998:2")')
-    p_policy.add_argument("--max-workers", type=int, default=1,
-                          help="worker processes slabbing the threshold "
-                               "axis (default 1: in-process)")
     p_policy.add_argument("--point", action="append", default=None,
                           metavar="T,Y",
                           help="answer single (threshold Mtops, year) "
@@ -154,9 +151,6 @@ def build_parser() -> argparse.ArgumentParser:
                              help='review dates: comma list and/or '
                                   'inclusive ranges "lo:hi[:step]" '
                                   '(default "1988:1998:2")')
-    p_scenarios.add_argument("--max-workers", type=int, default=1,
-                             help="worker processes slabbing the scenario "
-                                  "axis (default 1: in-process)")
     p_scenarios.add_argument("--profile", action="store_true",
                              help="print a span/counter profile after the "
                                   "output")
@@ -187,9 +181,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help='node counts: comma list ("1,2,4,8") and/or '
                               'inclusive ranges "lo:hi[:step]" '
                               '(default "1:256")')
-    p_sweep.add_argument("--max-workers", type=int, default=1,
-                         help="worker processes for the machine-axis "
-                              "fan-out (default 1: in-process)")
     p_sweep.add_argument("--profile", action="store_true",
                          help="print a span/counter profile after the "
                               "output")
@@ -540,16 +531,9 @@ def _cmd_policy(args: argparse.Namespace) -> str:
 
     if args.point:
         return _cmd_policy_points(args)
-    if args.max_workers < 1:
-        raise ValidationError(
-            f"--max-workers must be at least 1 (got {args.max_workers})",
-            context={"flag": "--max-workers", "got": args.max_workers,
-                     "valid": ">= 1"},
-        )
     thresholds = _parse_float_spec(args.thresholds, "--thresholds")
     years = _parse_float_spec(args.years, "--years")
-    grid = evaluate_policy_grid(thresholds, years,
-                                max_workers=args.max_workers)
+    grid = evaluate_policy_grid(thresholds, years)
     rows = []
     for i, threshold in enumerate(grid.thresholds):
         for j, year in enumerate(grid.years):
@@ -571,8 +555,7 @@ def _cmd_policy(args: argparse.Namespace) -> str:
     n_credible = int(grid.credible.sum())
     footer = (f"{grid.credible.size:,} grid points "
               f"({len(grid.thresholds)} thresholds x "
-              f"{len(grid.years)} years), {n_credible:,} credible, "
-              f"{args.max_workers} worker process(es)")
+              f"{len(grid.years)} years), {n_credible:,} credible")
     return table + "\n" + footer
 
 
@@ -624,17 +607,10 @@ def _scenario_worlds(args: argparse.Namespace) -> list:
 def _cmd_scenarios(args: argparse.Namespace) -> str:
     from repro.scenarios import evaluate_scenario_grid
 
-    if args.max_workers < 1:
-        raise ValidationError(
-            f"--max-workers must be at least 1 (got {args.max_workers})",
-            context={"flag": "--max-workers", "got": args.max_workers,
-                     "valid": ">= 1"},
-        )
     worlds = _scenario_worlds(args)
     thresholds = _parse_float_spec(args.thresholds, "--thresholds")
     years = _parse_float_spec(args.years, "--years")
-    grid = evaluate_scenario_grid(worlds, thresholds, years,
-                                  max_workers=args.max_workers)
+    grid = evaluate_scenario_grid(worlds, thresholds, years)
 
     def _year(value: float | None) -> str:
         return "-" if value is None else f"{value:g}"
@@ -667,9 +643,7 @@ def _cmd_scenarios(args: argparse.Namespace) -> str:
     )
     n_w, n_t, n_y = grid.shape
     footer = (f"{n_w * n_t * n_y:,} tensor cells ({n_w} worlds x "
-              f"{n_t} thresholds x {n_y} years), "
-              f"{args.max_workers} worker process(es), "
-              f"epoch {grid.epoch}")
+              f"{n_t} thresholds x {n_y} years), epoch {grid.epoch}")
     return summary + "\n\n" + detail + "\n" + footer
 
 
@@ -762,22 +736,14 @@ def _parse_nodes_spec(spec: str) -> list[int]:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> str:
-    from repro.parallel import sweep_parallel
-    from repro.simulate.sweep import default_machine_catalog
+    from repro.simulate.sweep import default_machine_catalog, sweep
     from repro.simulate.workloads import WORKLOAD_SUITE, find_workload
 
-    if args.max_workers < 1:
-        raise ValidationError(
-            f"--max-workers must be at least 1 (got {args.max_workers})",
-            context={"flag": "--max-workers", "got": args.max_workers,
-                     "valid": ">= 1"},
-        )
     counts = _parse_nodes_spec(args.nodes)
     machines = default_machine_catalog()
     workloads = ([find_workload(args.workload)] if args.workload
                  else list(WORKLOAD_SUITE))
-    grid = sweep_parallel(machines, workloads, counts,
-                          max_workers=args.max_workers)
+    grid = sweep(machines, workloads, counts)
     import numpy as np
 
     if args.workload:
@@ -826,8 +792,7 @@ def _cmd_sweep(args: argparse.Namespace) -> str:
         )
     footer = (f"{grid.feasible.size:,} grid points "
               f"({len(machines)} machines x {len(workloads)} workloads x "
-              f"{len(counts)} node counts), "
-              f"{args.max_workers} worker process(es)")
+              f"{len(counts)} node counts)")
     return table + "\n" + footer
 
 
@@ -1062,7 +1027,7 @@ def _cmd_bench(args: argparse.Namespace) -> str:
         [w["name"],
          f"{w['scalar']['best_seconds'] * 1e3:,.2f}",
          f"{w['batch']['best_seconds'] * 1e3:,.2f}",
-         f"{w['speedup']:,.1f}x",
+         "n/a" if w["speedup"] is None else f"{w['speedup']:,.1f}x",
          f"{w['max_rel_err']:.1e}"]
         for w in payload["workloads"]
     ]

@@ -19,10 +19,6 @@ HALO_3D playbook applied to policy space.  ``PolicyGrid.result_at``
 rebuilds the exact ``PolicyEffectiveness`` tuples the scalar call
 returns, so callers can sweep with arrays and still drill into any cell
 with full dataclass fidelity.
-
-Large threshold axes can be fanned out over worker processes through
-:mod:`repro.parallel` (slab-and-concatenate over the threshold axis, so
-results are identical for any worker count).
 """
 
 from __future__ import annotations
@@ -50,7 +46,6 @@ from repro.diffusion.policy import (
 from repro.machines.columns import machine_columns
 from repro.machines.spec import MachineSpec
 from repro.market.installed import installed_units_above_batch
-from repro.parallel import partition_chunks, run_chunks
 
 __all__ = [
     "PolicyGrid",
@@ -208,36 +203,16 @@ def _grid_counts(
     return frontier, protected, illusory, burden, uncontrollable
 
 
-def _grid_slab(
-    thresholds_key: tuple[float, ...], years_key: tuple[float, ...]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Module-level (picklable) worker: one threshold slab's grid arrays.
-
-    Worker processes rebuild the columnar caches on first use; slabbing
-    only the threshold axis keeps every per-year quantity (frontier,
-    requirement matrix, suffix tables) identical across slabs, so
-    concatenation is bit-exact for any slab layout.
-    """
-    _f, protected, illusory, burden, uncontrollable = _grid_counts(
-        np.asarray(thresholds_key, dtype=float), years_key)
-    return protected, illusory, burden, uncontrollable
-
-
 def evaluate_policy_grid(
     thresholds: Sequence[float] | np.ndarray,
     years: Sequence[float] | np.ndarray,
-    max_workers: int = 1,
-    n_slabs: int | None = None,
 ) -> PolicyGrid:
     """Chapter-5 scorecards for every threshold x year pair, vectorized.
 
     Every grid point is bit-exact against
     :func:`repro.diffusion.policy.evaluate_policy` at that point — counts,
     burden, credibility, and (via :meth:`PolicyGrid.result_at`) the exact
-    protected/illusory/uncontrollable membership tuples.  With
-    ``max_workers > 1`` the threshold axis is slabbed over worker
-    processes through :mod:`repro.parallel` (results independent of the
-    worker count and slab layout).
+    protected/illusory/uncontrollable membership tuples.
     """
     t, y = _validated_axes(thresholds, years)
     years_key = tuple(float(year) for year in y)
@@ -247,24 +222,8 @@ def evaluate_policy_grid(
         if span is not None:
             span.tags["thresholds"] = int(t.size)
             span.tags["years"] = int(y.size)
-            span.tags["workers"] = max_workers
-        if max_workers > 1 and t.size > 1:
-            if n_slabs is None:
-                n_slabs = max_workers
-            slabs = partition_chunks(t.size, n_slabs)
-            chunk_args = [
-                (tuple(float(v) for v in t[a:b]), years_key)
-                for a, b in slabs
-            ]
-            parts = run_chunks(_grid_slab, chunk_args, max_workers)
-            frontier = frontier_series(y)
-            protected = np.concatenate([p[0] for p in parts])
-            illusory = np.concatenate([p[1] for p in parts])
-            burden = np.concatenate([p[2] for p in parts])
-            uncontrollable = np.concatenate([p[3] for p in parts])
-        else:
-            frontier, protected, illusory, burden, uncontrollable = (
-                _grid_counts(t, years_key))
+        frontier, protected, illusory, burden, uncontrollable = (
+            _grid_counts(t, years_key))
         requirements = requirement_matrix(years_key)
         credible = t[:, None] >= frontier[None, :]
         for arr in (t, y, frontier, protected, illusory, burden,

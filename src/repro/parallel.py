@@ -1,19 +1,22 @@
-"""Process-parallel fan-out driver for embarrassingly parallel workloads.
+"""Process-parallel brute-force keysearch.
 
 The paper's observation that a brute-force keysearch partitions "without
-reference to the activities of the other processors" names exactly the
-workloads this module parallelizes: independent chunks, no communication,
-results reassembled in order.  The driver mirrors
-:func:`repro.crypto.keysearch.keyspace_partition` — contiguous chunks
-covering the work exactly once — and dispatches them over a
-``concurrent.futures.ProcessPoolExecutor``.
+reference to the activities of the other processors" names the one
+workload here whose chunks are big enough to pay for a process pool:
+independent chunks, no communication, results reassembled in order.  The
+policy, scenario, sweep and sensitivity grids run serially instead —
+each finishes in a few milliseconds, less than a pool takes to start.
+
+The driver mirrors :func:`repro.crypto.keysearch.keyspace_partition` —
+contiguous chunks covering the work exactly once — and dispatches them
+over a ``concurrent.futures.ProcessPoolExecutor``.
 
 Design rules, all load-bearing for determinism:
 
 * **Chunking is independent of the worker count.**  A chunk layout is a
-  function of the input size (and an explicit ``chunk_size``/``n_chunks``
-  knob), never of ``max_workers``, so ``max_workers=1`` and
-  ``max_workers=N`` produce bit-identical results.
+  function of the input size (and an explicit ``n_chunks`` knob), never
+  of ``max_workers``, so ``max_workers=1`` and ``max_workers=N`` produce
+  bit-identical results.
 * **Results are collected in submission order** (futures are resolved in
   the order the chunks were created), not completion order.
 * **``max_workers=1`` is a true serial fallback** — the chunks run in
@@ -46,12 +49,8 @@ from repro.obs.trace import counter_inc, trace
 __all__ = [
     "partition_chunks",
     "run_chunks",
-    "parallel_map",
     "ParallelKeysearchResult",
     "parallel_keysearch",
-    "parallel_bound_sensitivity",
-    "sweep_parallel",
-    "scenario_worlds_parallel",
 ]
 
 
@@ -124,38 +123,6 @@ def run_chunks(
         if span is not None and wall > 0:
             span.tags["utilization"] = round(busy / (wall * workers), 3)
     return [result for _, result in timed]
-
-
-def _map_chunk(fn: Callable, items: list) -> list:
-    return [fn(item) for item in items]
-
-
-def parallel_map(
-    fn: Callable,
-    items: Sequence,
-    max_workers: int = 1,
-    chunk_size: int | None = None,
-) -> list:
-    """``[fn(x) for x in items]`` with chunked process fan-out.
-
-    ``fn`` must be a module-level (picklable) callable.  The output
-    order always matches the input order, whatever the worker count.
-    """
-    items = list(items)
-    if not items:
-        return []
-    if chunk_size is None:
-        ranges = partition_chunks(len(items), max(4 * max_workers, 1))
-    else:
-        if chunk_size < 1:
-            raise ValidationError("chunk_size must be >= 1",
-                                  context={"got": chunk_size,
-                                           "valid": ">= 1"})
-        ranges = [(a, min(a + chunk_size, len(items)))
-                  for a in range(0, len(items), chunk_size)]
-    chunks = run_chunks(_map_chunk,
-                        [(fn, items[a:b]) for a, b in ranges], max_workers)
-    return [result for chunk in chunks for result in chunk]
 
 
 # ---------------------------------------------------------------------------
@@ -247,163 +214,3 @@ def parallel_keysearch(
     found = tuple(sorted(key for chunk in results for key in chunk))
     return ParallelKeysearchResult(found_keys=found, keys_tried=total,
                                    chunks=len(ranges))
-
-
-# ---------------------------------------------------------------------------
-# Monte-Carlo sensitivity draws
-# ---------------------------------------------------------------------------
-
-
-def _mc_chunk(year: float, seed: int, n_samples: int, start: int, stop: int,
-              concentration: float) -> np.ndarray:
-    """One chunk of lower-bound Monte-Carlo draws, seeded by its range."""
-    from repro.controllability.index import index_matrix
-    from repro.core.sensitivity import _eligible_population, \
-        sample_weights_batch
-
-    rng = np.random.default_rng(
-        np.random.SeedSequence([seed, n_samples, start, stop]))
-    n = stop - start
-    weights, low, _high = sample_weights_batch(rng, n, concentration)
-    _machines, scores, ratings = _eligible_population(year)
-    if ratings.size == 0:
-        return np.zeros(n)
-    indices = index_matrix(weights, scores)
-    uncontrollable = indices < low[:, None]
-    return np.where(uncontrollable, ratings[None, :], 0.0).max(axis=1)
-
-
-def parallel_bound_sensitivity(
-    year: float = 1995.5,
-    n_samples: int = 200,
-    seed: int = 0,
-    concentration: float = 60.0,
-    max_workers: int = 1,
-    chunk_size: int = 64,
-):
-    """Monte-Carlo the lower bound with chunk-parallel draws.
-
-    Each chunk draws its share of the samples from its own
-    ``SeedSequence([seed, n_samples, start, stop])`` stream, so the
-    sample vector is a pure function of ``(year, n_samples, seed,
-    concentration, chunk_size)`` — **not** of ``max_workers``.  (The
-    chunked streams differ from the single-stream draws of
-    :func:`repro.core.sensitivity.bound_sensitivity`; both sample the
-    same distribution.)
-    """
-    from repro._util import check_year
-    from repro.core.sensitivity import BoundSensitivity
-
-    check_year(year, "year")
-    if n_samples < 1:
-        raise ValidationError("n_samples must be >= 1",
-                              context={"got": n_samples, "valid": ">= 1"})
-    if chunk_size < 1:
-        raise ValidationError("chunk_size must be >= 1",
-                              context={"got": chunk_size, "valid": ">= 1"})
-    ranges = [(start, min(start + chunk_size, n_samples))
-              for start in range(0, n_samples, chunk_size)]
-    chunk_args = [(year, seed, n_samples, start, stop, concentration)
-                  for start, stop in ranges]
-    with trace("parallel.bound_sensitivity", samples=n_samples,
-               workers=max_workers, chunks=len(ranges)):
-        chunks = run_chunks(_mc_chunk, chunk_args, max_workers)
-    return BoundSensitivity(year=year,
-                            samples_mtops=np.concatenate(chunks))
-
-
-# ---------------------------------------------------------------------------
-# Design-space sweep slabs
-# ---------------------------------------------------------------------------
-
-
-def _sweep_slab(machines: tuple, workloads: tuple,
-                node_counts: np.ndarray):
-    from repro.simulate.sweep import sweep
-
-    return sweep(machines, workloads, node_counts)
-
-
-def sweep_parallel(
-    machines,
-    workloads,
-    node_counts,
-    max_workers: int = 1,
-    n_chunks: int | None = None,
-):
-    """:func:`repro.simulate.sweep.sweep` with the machine axis fanned
-    out over worker processes.
-
-    Every grid point is independent of every other, so slabbing the
-    machine axis and concatenating preserves bit-exactness: the result
-    equals the single-process sweep exactly, for any worker count or
-    slab layout.
-    """
-    from repro.simulate.sweep import SweepResult, sweep, \
-        validate_node_counts
-    from repro.simulate.architectures import MachineModel
-    from repro.simulate.workloads import Workload
-
-    if isinstance(machines, MachineModel):
-        machines = (machines,)
-    if isinstance(workloads, Workload):
-        workloads = (workloads,)
-    machines = tuple(machines)
-    workloads = tuple(workloads)
-    counts = validate_node_counts(node_counts)
-    if max_workers == 1:
-        return sweep(machines, workloads, counts)
-    if not machines:
-        raise ValidationError("machines must be non-empty",
-                              context={"got": 0, "valid": ">= 1 machine"})
-    if n_chunks is None:
-        n_chunks = len(machines)
-    slabs = partition_chunks(len(machines), n_chunks)
-    chunk_args = [(machines[a:b], workloads, counts) for a, b in slabs]
-    with trace("parallel.sweep", machines=len(machines),
-               workers=max_workers, slabs=len(slabs)):
-        parts = run_chunks(_sweep_slab, chunk_args, max_workers)
-    return SweepResult(
-        machines=machines,
-        workloads=workloads,
-        node_counts=counts,
-        feasible=np.concatenate([p.feasible for p in parts]),
-        reason_codes=np.concatenate([p.reason_codes for p in parts]),
-        serial_time_s=np.concatenate([p.serial_time_s for p in parts]),
-        compute_time_s=np.concatenate([p.compute_time_s for p in parts]),
-        comm_time_s=np.concatenate([p.comm_time_s for p in parts]),
-        times_s=np.concatenate([p.times_s for p in parts]),
-        speedups=np.concatenate([p.speedups for p in parts]),
-        efficiencies=np.concatenate([p.efficiencies for p in parts]),
-        baseline_nodes=np.concatenate([p.baseline_nodes for p in parts]),
-        baseline_times_s=np.concatenate(
-            [p.baseline_times_s for p in parts]),
-    )
-
-
-# ---------------------------------------------------------------------------
-# Scenario-world tensor slabs
-# ---------------------------------------------------------------------------
-
-
-def scenario_worlds_parallel(
-    scenarios,
-    thresholds,
-    years,
-    max_workers: int = 1,
-    n_chunks: int | None = None,
-):
-    """:func:`repro.scenarios.grid.evaluate_scenario_grid` with the
-    *scenario* axis fanned out over worker processes.
-
-    Worlds are independent of one another, so slabbing the world axis
-    and stacking preserves bit-exactness: the tensor equals the
-    single-process build exactly, for any worker count or chunk layout.
-    (Thin alias so parallel callers discover the fan-out here alongside
-    the other drivers; the chunking itself lives in the grid engine.)
-    """
-    from repro.scenarios.grid import evaluate_scenario_grid
-
-    return evaluate_scenario_grid(scenarios, thresholds, years,
-                                  max_workers=max_workers,
-                                  n_chunks=n_chunks)

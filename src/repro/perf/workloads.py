@@ -20,7 +20,7 @@ from repro.ctp import ComputingElement, Coupling
 from repro.ctp.batch import clear_credit_cache, ctp_homogeneous_batch
 from repro.obs.errors import ValidationError
 from repro.obs.trace import metrics_snapshot, trace
-from repro.perf.harness import Timing, time_workload
+from repro.perf.harness import Timing, time_pair, time_workload
 from repro.perf import reference as ref
 
 __all__ = ["BENCH_PATH", "WORKLOAD_NAMES", "run_benchmarks"]
@@ -307,8 +307,8 @@ def _bench_parallel_keysearch(quick: bool) -> dict:
     ``max_rel_err`` is 0.0 when the two runs return identical result
     objects (found keys, keys tried, chunk count) — the driver's
     determinism contract — and 1.0 otherwise.  The speedup is honest
-    wall clock including pool startup, so on a 1-2 core box it can dip
-    below 1; the regression gate skips the floor there.
+    wall clock including pool startup; below ``_POOL_MIN_CORES`` it is
+    ``None`` (see :func:`_pool_speedup_row`).
     """
     import os
 
@@ -319,7 +319,8 @@ def _bench_parallel_keysearch(quick: bool) -> dict:
     plaintext = 0x0123456789ABCDEF
     planted = 0x2AB5  # low bits of the key; parity-flip twins also match
     ciphertext = des_encrypt_block(plaintext, planted)
-    workers = max(2, min(4, os.cpu_count() or 1))
+    cpu_count = os.cpu_count() or 1
+    workers = max(2, min(4, cpu_count))
 
     def run(max_workers: int):
         return parallel_keysearch(plaintext, ciphertext,
@@ -333,13 +334,12 @@ def _bench_parallel_keysearch(quick: bool) -> dict:
                            repeats=2 if quick else 3)
     fast = time_workload(lambda: run(workers), "batch",
                          repeats=2 if quick else 3)
-    row = _row("parallel_keysearch",
-               f"exhaustive 2^{search_bits} DES keysearch, 1 worker vs "
-               f"{workers} worker processes (chunked fan-out, "
-               f"deterministic reassembly)",
-               scalar, fast, err)
-    row["workers"] = workers
-    row["cpu_count"] = os.cpu_count()
+    row = _pool_speedup_row(
+        "parallel_keysearch",
+        f"exhaustive 2^{search_bits} DES keysearch, 1 worker vs "
+        f"{workers} worker processes (chunked fan-out, deterministic "
+        f"reassembly)",
+        scalar, fast, err, workers, cpu_count)
     row["found_keys"] = list(serial_out.found_keys)
     return row
 
@@ -438,15 +438,12 @@ def _bench_acquisition_mc(quick: bool) -> dict:
             acquisition_premium(float(t), year) for t in targets
         ]
     )
-    scalar = time_workload(
+    scalar, fast = time_pair(
         lambda: [ref.simulate_acquisitions_scalar(float(t), year,
                                                   n_attempts, seed)
                  for t in targets],
-        "scalar", repeats=2 if quick else 3)
-    fast = time_workload(
         lambda: simulate_acquisitions_batch(targets, year, n_attempts,
-                                            seed),
-        "batch", repeats=5 if quick else 9)
+                                            seed))
     row = _row("acquisition_mc",
                f"covert-acquisition Monte-Carlo over {n_targets} targets x "
                f"{n_attempts} attempts (per-target market rescans and "
@@ -583,9 +580,9 @@ def _bench_serve_prefork_load(quick: bool) -> dict:
     achieved rate, making ``speedup`` the fleet/single **throughput
     ratio**.  ``max_rel_err`` is a bit-identity check: a fixed probe set
     of /rate and /policy requests must return byte-identical bodies from
-    both servers (0.0) or the row is broken (1.0).  The >= 2x gate
-    applies at >= 4 cores; the regression test logs a skip below that —
-    with one core the kernel has nowhere to run a second worker.
+    both servers (0.0) or the row is broken (1.0).  Below
+    ``_POOL_MIN_CORES`` the speedup is ``None`` (see
+    :func:`_pool_speedup_row`) and the >= 2x gate skips.
     """
     import os
     import tempfile
@@ -659,15 +656,13 @@ def _bench_serve_prefork_load(quick: bool) -> dict:
     fast = Timing(name=f"prefork_{workers}",
                   best_seconds=1.0 / peak_fleet,
                   mean_seconds=1.0 / peak_fleet, repeats=1, warmup=0)
-    row = _row("serve_prefork_load",
-               f"open-loop Poisson /rate load over HTTP, 1 process vs "
-               f"{workers} pre-forked workers ({fleet_mode} sharding) on "
-               f"shared snapshot state; timings are seconds/request at "
-               f"peak achieved throughput, so speedup is the throughput "
-               f"ratio",
-               scalar, fast, 0.0 if identical else 1.0)
-    row["workers"] = workers
-    row["cpu_count"] = cpu_count
+    row = _pool_speedup_row(
+        "serve_prefork_load",
+        f"open-loop Poisson /rate load over HTTP, 1 process vs {workers} "
+        f"pre-forked workers ({fleet_mode} sharding) on shared snapshot "
+        f"state; timings are seconds/request at peak achieved "
+        f"throughput, so speedup is the throughput ratio",
+        scalar, fast, 0.0 if identical else 1.0, workers, cpu_count)
     row["mode"] = fleet_mode
     row["offered_rates_rps"] = list(rates)
     row["throughput_rps"] = {"single_process": peak_single,
@@ -680,11 +675,6 @@ def _bench_serve_prefork_load(quick: bool) -> dict:
         "single_process": [r.as_dict() for r in single_results],
         f"prefork_{workers}": [r.as_dict() for r in fleet_results],
     }
-    if cpu_count < 4:
-        row["gate_skipped"] = (
-            f"prefork >=2x throughput floor needs >=4 cores; this host "
-            f"has {cpu_count} — workers time-slice one another and the "
-            f"ratio measures the scheduler, not the architecture")
     return row
 
 
@@ -782,9 +772,7 @@ def _bench_scenario_grid(quick: bool) -> dict:
         cold()
         return evaluate_scenario_grid(worlds, thresholds, years)
 
-    scalar = time_workload(sequential_worlds, "scalar",
-                           repeats=2 if quick else 3)
-    fast = time_workload(tensor_build, "batch", repeats=3 if quick else 5)
+    scalar, fast = time_pair(sequential_worlds, tensor_build)
     row = _row("scenario_grid",
                f"{len(worlds)}-world counterfactual tensor on a "
                f"{thresholds.size} x {years.size} (threshold, year) grid "
@@ -914,6 +902,30 @@ def _row(name: str, description: str, scalar: Timing, batch: Timing,
         "speedup": scalar.best_seconds / batch.best_seconds,
         "max_rel_err": max_rel_err,
     }
+
+
+#: Fewer cores than this and worker processes time-slice the cores the
+#: serial run already has, so a pool-vs-serial ratio measures the
+#: scheduler rather than the fan-out.
+_POOL_MIN_CORES = 4
+
+
+def _pool_speedup_row(name: str, description: str, scalar: Timing,
+                      batch: Timing, max_rel_err: float, workers: int,
+                      cpu_count: int) -> dict:
+    """:func:`_row` for a process-pool workload: the speedup is ``None``
+    with a one-line ``speedup_null_reason`` when the host has fewer than
+    ``_POOL_MIN_CORES`` cores."""
+    row = _row(name, description, scalar, batch, max_rel_err)
+    row["workers"] = workers
+    row["cpu_count"] = cpu_count
+    if cpu_count < _POOL_MIN_CORES:
+        row["speedup"] = None
+        row["speedup_null_reason"] = (
+            f"{cpu_count} core(s) < {_POOL_MIN_CORES}: {workers} worker "
+            f"processes time-slice the serial run's cores, so the ratio "
+            f"measures the scheduler, not the fan-out")
+    return row
 
 
 _BENCHES = {

@@ -66,7 +66,6 @@ from repro.machines.columns import machine_columns
 from repro.market.installed import installed_units_above_batch
 from repro.obs.errors import ScenarioEpochError, ValidationError
 from repro.obs.trace import counter_inc, trace
-from repro.parallel import partition_chunks, run_chunks
 from repro.scenarios.spec import Scenario
 
 __all__ = [
@@ -203,11 +202,11 @@ def _world_slab(
     thresholds_key: tuple[float, ...],
     years_key: tuple[float, ...],
 ) -> tuple[np.ndarray, ...]:
-    """Module-level (picklable) worker: a chunk of worlds, stacked.
+    """Every world's scorecard columns, stacked along the world axis.
 
-    Fan-out slabs the *scenario* axis: every per-year shared quantity
-    (frontier index, suffix tables, requirement matrices) is identical
-    across slabs, so stacking is bit-exact for any chunk layout.
+    Each world is built on its own from the shared per-year quantities
+    (frontier index, suffix tables, requirement matrices), so a world's
+    slice does not depend on which other worlds share the call.
     """
     t = np.asarray(thresholds_key, dtype=float)
     parts = [_world_columns(s, t, years_key) for s in scenarios]
@@ -379,17 +378,13 @@ def evaluate_scenario_grid(
     scenarios: Sequence[Scenario],
     thresholds: Sequence[float] | np.ndarray,
     years: Sequence[float] | np.ndarray,
-    max_workers: int = 1,
-    n_chunks: int | None = None,
     _caller_holds_guard: bool = False,
 ) -> ScenarioGrid:
     """Evaluate the full (scenario x threshold x year) tensor.
 
     The build holds the catalog read guard end to end (writers queue
     until the tensor is complete), so every world is computed against
-    one consistent epoch, recorded on the result.  With
-    ``max_workers > 1`` the *scenario* axis is fanned out over worker
-    processes; results are bit-identical for any worker count.
+    one consistent epoch, recorded on the result.
 
     ``_caller_holds_guard`` is for dispatch paths that already hold the
     read guard (the serve MicroBatcher): the guard is **not** reentrant,
@@ -433,22 +428,9 @@ def evaluate_scenario_grid(
                 span.tags["worlds"] = len(scenarios)
                 span.tags["thresholds"] = int(t.size)
                 span.tags["years"] = int(y.size)
-                span.tags["workers"] = max_workers
-            if max_workers > 1 and len(scenarios) > 1:
-                if n_chunks is None:
-                    n_chunks = len(scenarios)
-                slabs = partition_chunks(len(scenarios), n_chunks)
-                chunk_args = [(scenarios[a:b], thresholds_key, years_key)
-                              for a, b in slabs]
-                parts = run_chunks(_world_slab, chunk_args, max_workers)
-                stacked = tuple(
-                    np.concatenate([p[k] for p in parts])
-                    for k in range(6))
-            else:
-                stacked = _world_slab(scenarios, thresholds_key,
-                                      years_key)
             (frontier, requirements, protected, illusory, burden,
-             uncontrollable) = stacked
+             uncontrollable) = _world_slab(scenarios, thresholds_key,
+                                           years_key)
             in_force = np.stack([
                 np.asarray(s.threshold_in_force_series(y))
                 for s in scenarios

@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 import threading
 import time
 from collections import deque
@@ -621,6 +622,12 @@ class ServiceEngine:
 # ---------------------------------------------------------------------------
 
 _MAX_BODY_BYTES = 1_000_000
+#: Seconds a connection may stall on a read (or a write) before it is
+#: dropped: a body shorter than its Content-Length gets a 408 instead of
+#: pinning a handler thread.  Idle keep-alive connections close after
+#: the same time, so it sits far above any gap between a client's
+#: requests.
+_READ_TIMEOUT_S = 30.0
 _POST_PATHS = {f"/{name}": name for name in ENDPOINTS}
 _POST_PATHS["/batch"] = "batch"
 _POST_PATHS["/catalog/append"] = "catalog_append"
@@ -637,6 +644,10 @@ class _Handler(BaseHTTPRequestHandler):
 
     def log_message(self, format: str, *args: object) -> None:  # noqa: A002
         pass  # metrics replace the default stderr chatter
+
+    def setup(self) -> None:
+        super().setup()
+        self.connection.settimeout(_READ_TIMEOUT_S)
 
     def do_GET(self) -> None:  # noqa: N802 — http.server API
         path = self.path.split("?", 1)[0]
@@ -667,6 +678,10 @@ class _Handler(BaseHTTPRequestHandler):
             return
         try:
             payload = self._read_json()
+        except DeadlineExceededError as exc:
+            counter_inc("serve.responses.408")
+            self._send(408, error_body(exc))
+            return
         except ReproError as exc:
             self._send(400, error_body(exc))
             return
@@ -715,7 +730,15 @@ class _Handler(BaseHTTPRequestHandler):
                 "request body too large",
                 context={"got": length, "valid": f"<= {_MAX_BODY_BYTES}"},
             )
-        raw = self.rfile.read(length)
+        try:
+            raw = self.rfile.read(length)
+        except TimeoutError:
+            self.close_connection = True
+            raise DeadlineExceededError(
+                f"request body not received within {_READ_TIMEOUT_S:g} s",
+                context={"content_length": length,
+                         "timeout_s": _READ_TIMEOUT_S},
+            ) from None
         try:
             return json.loads(raw)
         except (ValueError, UnicodeDecodeError):
@@ -747,11 +770,27 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(data)))
         for name, value in (headers or {}).items():
             self.send_header(name, value)
-        self.end_headers()
         try:
+            self.end_headers()
             self.wfile.write(data)
-        except BrokenPipeError:
-            pass  # client went away mid-response
+        except ConnectionError:
+            # Client went away mid-response (closed or reset).
+            counter_inc("serve.client_disconnects")
+            self.close_connection = True
+
+
+class _HTTPServer(ThreadingHTTPServer):
+    daemon_threads = True
+
+    def handle_error(self, request: object, client_address: tuple) -> None:
+        """One stderr line per dropped connection, not socketserver's
+        multi-line traceback (a client reset while the handler waits
+        for its next request lands here)."""
+        exc = sys.exc_info()[1]
+        print(f"serve: connection from {client_address[0]}:"
+              f"{client_address[1]} dropped: {type(exc).__name__}: {exc}",
+              file=sys.stderr, flush=True)
+        counter_inc("serve.client_disconnects")
 
 
 class ServeServer:
@@ -774,7 +813,7 @@ class ServeServer:
             # Pre-fork path: adopt an already-bound, already-listening
             # socket (inherited from the parent or SO_REUSEPORT-bound by
             # the worker) instead of binding a fresh one.
-            self.httpd = ThreadingHTTPServer(
+            self.httpd = _HTTPServer(
                 (self.config.host, self.config.port), handler,
                 bind_and_activate=False)
             self.httpd.socket.close()  # replace the unused auto-socket
@@ -788,9 +827,8 @@ class ServeServer:
             self.httpd.socket = listen_socket  # type: ignore[assignment]
             self.httpd.server_address = listen_socket.getsockname()
         else:
-            self.httpd = ThreadingHTTPServer(
+            self.httpd = _HTTPServer(
                 (self.config.host, self.config.port), handler)
-        self.httpd.daemon_threads = True
         self._thread: threading.Thread | None = None
         self._closed = False
 

@@ -1,4 +1,5 @@
-"""The open-loop load generator: determinism, honesty, knee detection.
+"""The open-loop load generator: determinism, honesty, knee detection;
+plus the interleaved pair timer the speedup rows use.
 
 The harness's whole claim is *coordinated-omission avoidance*: latency
 runs from the scheduled Poisson arrival, so a server that falls behind
@@ -21,6 +22,7 @@ import numpy as np
 import pytest
 
 from repro.obs.errors import ValidationError
+from repro.perf.harness import time_pair
 from repro.perf.loadgen import (
     LoadgenResult,
     arrival_offsets,
@@ -188,3 +190,22 @@ class TestResultShape:
             "offered_rps", "scheduled_rps", "achieved_rps", "duration_s",
             "sent", "completed", "errors", "p50_ms", "p95_ms", "p99_ms",
             "max_ms"}
+
+
+class TestTimePair:
+    def test_alternates_after_warmup_and_takes_min(self):
+        calls: list[str] = []
+        scalar, batch = time_pair(lambda: calls.append("a"),
+                                  lambda: calls.append("b"),
+                                  repeats=3, warmup=1)
+        assert calls == ["a", "b"] * 4
+        assert (scalar.name, batch.name) == ("scalar", "batch")
+        for timing in (scalar, batch):
+            assert (timing.repeats, timing.warmup) == (3, 1)
+            assert 0 <= timing.best_seconds <= timing.mean_seconds
+
+    def test_rejects_bad_counts(self):
+        with pytest.raises(ValidationError):
+            time_pair(lambda: None, lambda: None, repeats=0)
+        with pytest.raises(ValidationError):
+            time_pair(lambda: None, lambda: None, warmup=-1)

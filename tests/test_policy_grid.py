@@ -112,15 +112,20 @@ class TestGridParity:
         assert one.result_at(0, 0) == evaluate_policy(2000.0, 1995.5)
 
     def test_slabbed_parallel_grid_identical_to_serial(self):
+        # A cell must not depend on which other thresholds share the
+        # call: repro.tiles.policy_cells builds grids over just the
+        # requested points and relies on this.
         thresholds = np.geomspace(10.0, 100_000.0, 23)
         years = [1990.0, 1995.5, 1998.0]
-        serial = evaluate_policy_grid(thresholds, years)
-        parallel = evaluate_policy_grid(thresholds, years, max_workers=4)
-        for name in ("frontier_mtops", "protected_counts",
-                     "illusory_counts", "burden_units",
+        whole = evaluate_policy_grid(thresholds, years)
+        halves = [evaluate_policy_grid(part, years)
+                  for part in (thresholds[:11], thresholds[11:])]
+        for half in halves:
+            assert np.array_equal(half.frontier_mtops, whole.frontier_mtops)
+        for name in ("protected_counts", "illusory_counts", "burden_units",
                      "uncontrollable_counts", "credible"):
-            assert np.array_equal(getattr(serial, name),
-                                  getattr(parallel, name)), name
+            joined = np.concatenate([getattr(h, name) for h in halves])
+            assert np.array_equal(getattr(whole, name), joined), name
 
     def test_arrays_are_frozen(self):
         grid = evaluate_policy_grid([2000.0], [1995.5])

@@ -299,17 +299,19 @@ class TestScenarioGridOverlays:
             e for e in THRESHOLD_HISTORY if e.start_year < 1994.1)
 
     def test_worker_fanout_bit_identical(self):
+        # A world's slice must not depend on which other worlds share
+        # the call: repro.tiles.scenario_cells builds one grid per world.
         worlds = _all_presets()
-        serial = evaluate_scenario_grid(worlds, THRESHOLDS, YEARS)
+        tensor = evaluate_scenario_grid(worlds, THRESHOLDS, YEARS)
         clear_scenario_caches()
-        fanned = evaluate_scenario_grid(worlds, THRESHOLDS, YEARS,
-                                        max_workers=2)
+        singles = [evaluate_scenario_grid([w], THRESHOLDS, YEARS)
+                   for w in worlds]
         for name in ("frontier_mtops", "requirements", "protected_counts",
                      "illusory_counts", "burden_units",
                      "uncontrollable_counts", "credible", "in_force_mtops",
                      "in_force_credible"):
-            assert np.array_equal(getattr(serial, name),
-                                  getattr(fanned, name)), name
+            stacked = np.concatenate([getattr(g, name) for g in singles])
+            assert np.array_equal(getattr(tensor, name), stacked), name
 
     def test_validation_rejects_bad_inputs(self):
         with pytest.raises(ValidationError):
@@ -592,4 +594,3 @@ class TestScenariosCli:
 
         assert main(["scenarios", "--worlds", "warp_drive"]) == 1
         assert "error:" in capsys.readouterr().out
-        assert main(["scenarios", "--max-workers", "0"]) == 1

@@ -16,6 +16,7 @@ from __future__ import annotations
 import http.client
 import json
 import socket
+import struct
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -29,6 +30,8 @@ from repro.obs.errors import (
     ServiceOverloadedError,
     ValidationError,
 )
+from repro.obs.trace import counters
+from repro.serve import server as server_module
 from repro.serve.batching import MicroBatcher
 from repro.serve.cache import MISS, LRUCache
 from repro.serve.client import ServeClient
@@ -328,6 +331,42 @@ class TestErrorPaths:
             assert sock.recv(1) == b""  # the server hung up
         assert response.status == 400
         assert body["error"]["type"] == "ValidationError"
+
+    def test_short_body_times_out_with_408(self, server, monkeypatch):
+        """A body shorter than its Content-Length must not pin a handler
+        thread: the read times out into a typed 408 and a hang-up."""
+        monkeypatch.setattr(server_module, "_READ_TIMEOUT_S", 0.2)
+        with socket.create_connection(("127.0.0.1", server.port),
+                                      timeout=5.0) as sock:
+            sock.sendall(b"POST /rate HTTP/1.1\r\nHost: x\r\n"
+                         b"Content-Type: application/json\r\n"
+                         b"Content-Length: 100\r\n\r\n{\"clock")
+            response = http.client.HTTPResponse(sock)
+            response.begin()
+            body = json.loads(response.read())
+            assert sock.recv(1) == b""  # the server hung up
+        assert response.status == 408
+        assert body["error"]["type"] == "DeadlineExceededError"
+
+    def test_client_reset_mid_response_is_one_line(self, server, capsys):
+        """A client that resets the connection once the response has
+        begun is counted and logged in one line, not a traceback."""
+        before = counters().get("serve.client_disconnects", 0)
+        with socket.create_connection(("127.0.0.1", server.port),
+                                      timeout=5.0) as sock:
+            sock.sendall(b"GET /metrics HTTP/1.1\r\nHost: x\r\n\r\n")
+            assert sock.recv(1) == b"H"  # the response has begun
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
+                            struct.pack("ii", 1, 0))  # close sends RST
+        deadline = time.monotonic() + 5.0
+        while (counters().get("serve.client_disconnects", 0) == before
+               and time.monotonic() < deadline):
+            time.sleep(0.01)
+        assert counters().get("serve.client_disconnects", 0) > before
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert all(line.startswith("serve: connection from ")
+                   for line in err.splitlines())
 
     def test_keep_alive_survives_error_responses(self, server):
         """A 404/405 must drain the request body, or the reused

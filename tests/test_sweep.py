@@ -1,10 +1,10 @@
-"""The sweep engine and the parallel fan-out driver.
+"""The sweep engine and the parallel keysearch driver.
 
 The central contract under test is *bit-exactness*: the vectorized sweep
 replicates the scalar model's operation order, so every grid point —
 times, efficiencies, components, feasibility, reason strings — must
 equal ``simulate_execution`` with ``==``, not ``isclose``.  The same
-contract applies to the parallel driver: 1 worker and N workers must
+contract applies to the keysearch driver: 1 worker and N workers must
 return identical objects.
 """
 
@@ -15,15 +15,9 @@ import math
 import numpy as np
 import pytest
 
+from repro.core.sensitivity import bound_sensitivity
 from repro.obs.errors import ValidationError
-from repro.parallel import (
-    parallel_bound_sensitivity,
-    parallel_keysearch,
-    parallel_map,
-    partition_chunks,
-    run_chunks,
-    sweep_parallel,
-)
+from repro.parallel import parallel_keysearch, partition_chunks, run_chunks
 from repro.perf import reference as ref
 from repro.simulate.architectures import hierarchical_machine
 from repro.simulate.execution import (
@@ -222,22 +216,13 @@ def test_partition_chunks_rejects_bad_args():
 
 def test_run_chunks_empty_and_parallel_map_edges():
     assert run_chunks(math.sqrt, [], max_workers=4) == []
-    assert parallel_map(math.sqrt, [], max_workers=2) == []
-    items = list(range(17))
-    want = [math.sqrt(x) for x in items]
-    assert parallel_map(math.sqrt, items, max_workers=1) == want
-    assert parallel_map(math.sqrt, items, max_workers=2,
-                        chunk_size=1) == want
-    assert parallel_map(math.sqrt, items, max_workers=2,
-                        chunk_size=100) == want
-    with pytest.raises(ValidationError):
-        parallel_map(math.sqrt, items, max_workers=2, chunk_size=0)
+    assert run_chunks(math.sqrt, [(4.0,), (9.0,)]) == [2.0, 3.0]
     with pytest.raises(ValidationError):
         run_chunks(math.sqrt, [(4.0,)], max_workers=0)
 
 
 # ---------------------------------------------------------------------------
-# Parallel driver: determinism, 1 worker vs N
+# Determinism: keysearch 1 worker vs N, and seeded or sliced grids
 # ---------------------------------------------------------------------------
 
 _PLAINTEXT = 0x0123456789ABCDEF
@@ -280,23 +265,23 @@ def test_parallel_keysearch_validates():
 
 
 def test_parallel_bound_sensitivity_identical_across_worker_counts():
-    serial = parallel_bound_sensitivity(n_samples=40, chunk_size=16,
-                                        max_workers=1)
-    fanned = parallel_bound_sensitivity(n_samples=40, chunk_size=16,
-                                        max_workers=2)
-    assert np.array_equal(serial.samples_mtops, fanned.samples_mtops)
-    assert serial.samples_mtops.size == 40
-    assert (serial.samples_mtops > 0).all()
+    first = bound_sensitivity(n_samples=40, seed=3)
+    again = bound_sensitivity(n_samples=40, seed=3)
+    assert np.array_equal(first.samples_mtops, again.samples_mtops)
+    assert first.samples_mtops.size == 40
+    assert (first.samples_mtops > 0).all()
 
 
 def test_sweep_parallel_bit_identical_to_sweep():
+    # Every grid point is independent of the others: a full sweep equals
+    # its per-machine sweeps concatenated along the machine axis.
     machines = default_machine_catalog()
     counts = PARITY_COUNTS[:10]
-    plain = sweep(machines, WORKLOAD_SUITE, counts)
-    fanned = sweep_parallel(machines, WORKLOAD_SUITE, counts,
-                            max_workers=2)
+    whole = sweep(machines, WORKLOAD_SUITE, counts)
+    parts = [sweep(m, WORKLOAD_SUITE, counts) for m in machines]
     for name in ("feasible", "reason_codes", "serial_time_s",
                  "compute_time_s", "comm_time_s", "times_s", "speedups",
                  "efficiencies", "baseline_nodes", "baseline_times_s"):
-        assert np.array_equal(getattr(plain, name), getattr(fanned, name),
+        joined = np.concatenate([getattr(p, name) for p in parts])
+        assert np.array_equal(getattr(whole, name), joined,
                               equal_nan=True), name
