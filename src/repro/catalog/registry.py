@@ -2,7 +2,7 @@
 
 This module is the coordination point for event-sourced catalog mutation
 (:mod:`repro.catalog.events`).  It is deliberately **stdlib-only** — every
-layer of the system (machines, diffusion, ctp, serve, store) registers its
+layer of the system (machines, diffusion, ctp, serve) registers its
 cache-clear hooks here at import time, so the registry itself must not
 import any of them.
 
@@ -10,17 +10,18 @@ Three pieces live here:
 
 * the **catalog epoch** — a global monotonic counter bumped once per
   applied mutation event.  Every derived artifact (columns stores,
-  ``PolicyGrid``, snapshot manifests, micro-batches, cached serve
-  responses) is tagged with the epoch it was built under, which is what
-  makes staleness a checkable property instead of a latent bug;
+  ``PolicyGrid``, micro-batches, cached serve responses) is tagged with
+  the epoch it was built under, which is what makes staleness a
+  checkable property instead of a latent bug;
 * the **invalidation registry** — named hooks with event-kind tags.
   ``invalidate_all(epoch)`` runs *every* hook under one lock (the atomic
   replacement for the previously independent ``clear_assessment_caches``
   / ``clear_acquisition_caches`` / credit-cache ``clear`` calls a mutator
-  could invoke partially); ``invalidate_for(kind, epoch)`` runs only the
-  hooks whose registered kinds include the event kind — the precise path
-  ``apply_event`` uses so content-addressed caches survive mutations that
-  cannot stale them;
+  could invoke partially) and is the one way to drop every columnar
+  store, so the next read rebuilds it cold; ``invalidate_for(kind,
+  epoch)`` runs only the hooks whose registered kinds include the event
+  kind — the precise path ``apply_event`` uses so content-addressed
+  caches survive mutations that cannot stale them;
 * the **epoch lock** — a writer-preferring readers-writer lock.
   ``MicroBatcher`` dispatches hold :func:`read_guard` for the duration of
   a batch; ``apply_event`` holds :func:`write_guard` while mutating.  A

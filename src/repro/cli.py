@@ -23,8 +23,6 @@ Commands mirror the analyses a policy analyst would actually run:
 * ``bench``       — time the batch hot paths against scalar references;
 * ``serve``       — run the micro-batching HTTP serving front end
   (``--workers N`` pre-forks a sharded fleet over one port);
-* ``snapshot``    — serialize the columnar stores for zero-rebuild
-  serving cold starts;
 * ``catalog``     — apply event-sourced catalog mutations (appends and
   amendments) in process or against a running fleet.
 """
@@ -232,11 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--workers", type=int, default=1,
                          help="pre-forked worker processes sharing the "
                               "port (default 1: single process, no fork)")
-    p_serve.add_argument("--snapshot", type=str, default=None,
-                         metavar="DIR",
-                         help="load a `repro snapshot` artifact before "
-                              "serving (mmap-shared across workers); "
-                              "stale snapshots are refused")
     p_serve.add_argument("--drain-timeout", type=float, default=5.0,
                          metavar="SECONDS",
                          help="on SIGTERM/SIGINT, bound for draining "
@@ -252,20 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_mcp.add_argument("--deadline-ms", type=float, default=5000.0,
                        help="per-request deadline; missed -> JSON-RPC "
                             "error -32002")
-
-    p_snap = sub.add_parser(
-        "snapshot", help="serialize the columnar stores for zero-rebuild "
-                         "serving cold starts"
-    )
-    p_snap.add_argument("--output", type=str, default=".repro-snapshot",
-                        metavar="DIR",
-                        help="snapshot directory (default .repro-snapshot)")
-    p_snap.add_argument("--check", action="store_true",
-                        help="validate an existing snapshot against the "
-                             "live catalog instead of building")
-    p_snap.add_argument("--profile", action="store_true",
-                        help="print a span/counter profile after the "
-                             "output")
 
     p_catalog = sub.add_parser(
         "catalog", help="apply event-sourced catalog mutations"
@@ -858,10 +837,6 @@ def _cmd_serve(args: argparse.Namespace) -> str:
         deadline_ms=args.deadline_ms,
         drain_timeout=args.drain_timeout,
     )
-    if args.snapshot is not None:
-        from repro.store import load_snapshot
-
-        load_snapshot(args.snapshot)
     if args.workers > 1:
         from repro.serve.prefork import run_prefork_server
 
@@ -891,18 +866,6 @@ def _cmd_mcp(args: argparse.Namespace) -> str:
     # not pollute the protocol stream, so it goes to stderr directly.
     print(f"mcp: served {served} request(s)", file=sys.stderr)
     return ""
-
-
-def _cmd_snapshot(args: argparse.Namespace) -> str:
-    from repro.store import build_snapshot, load_snapshot
-
-    if args.check:
-        info = load_snapshot(args.output)
-        return (f"snapshot {args.output} OK: {info.n_arrays} arrays, "
-                f"hash {info.manifest_hash[:16]} matches the live catalog")
-    info = build_snapshot(args.output)
-    return (f"wrote {args.output}: {info.n_arrays} arrays, "
-            f"hash {info.manifest_hash[:16]}")
 
 
 def _read_catalog_events(source: str) -> list[dict]:
@@ -1058,7 +1021,6 @@ _COMMANDS = {
     "bench": _cmd_bench,
     "serve": _cmd_serve,
     "mcp": _cmd_mcp,
-    "snapshot": _cmd_snapshot,
     "catalog": _cmd_catalog,
 }
 

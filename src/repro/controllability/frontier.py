@@ -49,7 +49,6 @@ __all__ = [
     "frontier_trend",
     "projected_frontier_mtops",
     "projected_frontier_series",
-    "install_frontier_index",
     "clear_frontier_indexes",
     "frontier_index_info",
 ]
@@ -101,61 +100,21 @@ class _FrontierIndex:
     leaders: tuple[MachineSpec, ...]  # machine defining the plateau
 
 
-# Snapshot-installed indexes (repro.store) take precedence over the
-# lazily-built ones: loading costs zero catalog re-assessments.
-_INSTALLED_INDEXES: dict[tuple[ControllabilityWeights, float],
-                         _FrontierIndex] = {}
-
-
-def _frontier_index(
-    weights: ControllabilityWeights,
-    lag_years: float,
-) -> _FrontierIndex:
-    installed = _INSTALLED_INDEXES.get((weights, lag_years))
-    if installed is not None:
-        return installed
-    return _build_frontier_index(weights, lag_years)
-
-
-def install_frontier_index(
-    weights: ControllabilityWeights,
-    lag_years: float,
-    qualify_years: np.ndarray,
-    running_max: np.ndarray,
-    leader_rows: np.ndarray,
-) -> None:
-    """Install a precomputed frontier index (snapshot load path).
-
-    ``leader_rows`` holds catalog row numbers (order of
-    ``COMMERCIAL_SYSTEMS``) so the machine objects are rejoined from the
-    live catalog without re-running any assessment.
-    """
-    counter_inc("frontier.index_installs")
-    machines = tuple(_catalog.COMMERCIAL_SYSTEMS)
-    _INSTALLED_INDEXES[(weights, float(lag_years))] = _FrontierIndex(
-        qualify_years=qualify_years,
-        running_max=running_max,
-        leaders=tuple(machines[int(row)] for row in leader_rows),
-    )
-
-
 def clear_frontier_indexes() -> None:
-    """Drop installed and memoized frontier indexes (tests and ablation
-    hygiene)."""
-    _INSTALLED_INDEXES.clear()
-    _build_frontier_index.cache_clear()
+    """Drop memoized frontier indexes (tests and ablation hygiene)."""
+    _frontier_index.cache_clear()
     _classified_population.cache_clear()
 
 
-# Machine events drop installed and memoized indexes alike; each rebuilds
-# lazily on its next query.
+# Machine events drop every memoized index; each rebuilds lazily on its
+# next query.
 register_invalidation_hook(
     "controllability.frontier", lambda epoch: clear_frontier_indexes(),
     kinds=("append_machine", "amend_machine"))
 
 
 @lru_cache(maxsize=256)
-def _build_frontier_index(
+def _frontier_index(
     weights: ControllabilityWeights,
     lag_years: float,
 ) -> _FrontierIndex:
@@ -303,12 +262,10 @@ def frontier_index_info() -> dict[str, int]:
     from repro.obs.trace import counters
 
     stats = counters()
-    cache = _build_frontier_index.cache_info()
+    cache = _frontier_index.cache_info()
     return {
         "cached_indexes": int(cache.currsize),
-        "installed_indexes": len(_INSTALLED_INDEXES),
         "index_builds": int(stats.get("frontier.index_builds", 0)),
-        "index_installs": int(stats.get("frontier.index_installs", 0)),
         "bisect_lookups": int(stats.get("frontier.bisect_lookups", 0)),
         "grid_points": int(stats.get("frontier.grid_points", 0)),
     }

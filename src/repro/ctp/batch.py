@@ -68,7 +68,6 @@ from repro.ctp.elements import ComputingElement
 __all__ = [
     "theoretical_performance_batch",
     "credit_sums",
-    "install_credit_sums",
     "credit_cache_info",
     "clear_credit_cache",
     "aggregate_homogeneous_batch",
@@ -186,39 +185,6 @@ def credit_sums(
         return cached[:n_max]
 
 
-def install_credit_sums(
-    sums: np.ndarray,
-    coupling: Coupling,
-    params: CTPParameters = DEFAULT_PARAMETERS,
-    interconnect_beta: float | None = None,
-) -> None:
-    """Install a precomputed prefix-sum row (snapshot load path).
-
-    The row lands under exactly the key :func:`credit_sums` would use, so
-    subsequent homogeneous ratings up to ``len(sums)`` elements are cache
-    hits with zero ``aggregation_credits`` calls.  The array should be
-    read-only (snapshot memmaps are); a writable array is frozen here.
-    """
-    sums = np.asarray(sums, dtype=float)
-    if sums.ndim != 1 or sums.size < 1:
-        raise ValidationError(
-            "credit prefix-sum row must be a non-empty 1-D array",
-            context={"got_shape": sums.shape, "valid": "(n,)"},
-        )
-    if sums.flags.writeable:
-        sums = sums.copy()
-        sums.setflags(write=False)
-    key = (coupling, params,
-           _effective_beta(coupling, params, interconnect_beta))
-    with _CREDIT_CACHE_LOCK:
-        counter_inc("credit_cache.installs")
-        _CREDIT_SUM_CACHE[key] = sums
-        _CREDIT_SUM_CACHE.move_to_end(key)
-        while len(_CREDIT_SUM_CACHE) > CREDIT_CACHE_MAX_ROWS:
-            _CREDIT_SUM_CACHE.popitem(last=False)
-            counter_inc("credit_cache.evictions")
-
-
 def credit_cache_info() -> dict[str, int]:
     """Cache introspection: current contents plus lifetime counters.
 
@@ -242,7 +208,6 @@ def credit_cache_info() -> dict[str, int]:
         "misses": int(stats.get("credit_cache.misses", 0)),
         "regrows": int(stats.get("credit_cache.regrows", 0)),
         "evictions": int(stats.get("credit_cache.evictions", 0)),
-        "installs": int(stats.get("credit_cache.installs", 0)),
     }
 
 

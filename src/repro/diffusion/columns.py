@@ -31,23 +31,20 @@ from repro.obs.trace import counter_inc, trace
 __all__ = [
     "application_columns",
     "requirement_matrix",
-    "install_application_columns",
-    "install_requirement_matrix",
     "clear_requirement_matrices",
 ]
 
-# Snapshot-installed state (repro.store): application columns and
-# per-year-grid requirement matrices loaded from disk take precedence
-# over the lazily-built equivalents — zero scalar ``pow`` calls at load.
-_INSTALLED_APPS: tuple[tuple[ApplicationRequirement, ...],
-                       np.ndarray, np.ndarray] | None = None
-_INSTALLED_MATRICES: dict[tuple[float, ...], np.ndarray] = {}
-
-
 @lru_cache(maxsize=1)
-def _build_application_columns() -> tuple[
+def application_columns() -> tuple[
     tuple[ApplicationRequirement, ...], np.ndarray, np.ndarray
 ]:
+    """``(apps, base_mtops, year_first)`` in ``APPLICATIONS`` order.
+
+    The ``(base_mtops, drift_rate)`` parameters of every stalactite as
+    read-only columns; row ``a`` describes ``apps[a]``, so masks over the
+    requirement matrix reconstruct the exact application tuples the
+    scalar policy loop builds.
+    """
     counter_inc("columns.application_builds")
     apps = tuple(APPLICATIONS)
     base = np.array([a.min_mtops for a in apps])
@@ -57,66 +54,8 @@ def _build_application_columns() -> tuple[
     return apps, base, firsts
 
 
-def application_columns() -> tuple[
-    tuple[ApplicationRequirement, ...], np.ndarray, np.ndarray
-]:
-    """``(apps, base_mtops, year_first)`` in ``APPLICATIONS`` order.
-
-    The ``(base_mtops, drift_rate)`` parameters of every stalactite as
-    read-only columns; row ``a`` describes ``apps[a]``, so masks over the
-    requirement matrix reconstruct the exact application tuples the
-    scalar policy loop builds.  Snapshot-installed columns, when present,
-    short-circuit the build.
-    """
-    if _INSTALLED_APPS is not None:
-        return _INSTALLED_APPS
-    return _build_application_columns()
-
-
-def install_application_columns(base: np.ndarray,
-                                firsts: np.ndarray) -> None:
-    """Install precomputed application columns (snapshot load path)."""
-    global _INSTALLED_APPS
-    counter_inc("columns.application_installs")
-    _INSTALLED_APPS = (tuple(APPLICATIONS), base, firsts)
-
-
-def install_requirement_matrix(years: tuple[float, ...],
-                               matrix: np.ndarray) -> None:
-    """Install one precomputed ``(n_apps, n_years)`` requirement matrix
-    for a year grid (snapshot load path)."""
-    counter_inc("columns.requirement_installs")
-    _INSTALLED_MATRICES[tuple(float(y) for y in years)] = matrix
-
-
-def requirement_matrix(years: tuple[float, ...]) -> np.ndarray:
-    """Drifted minimums for a year grid: snapshot-installed if available,
-    else built (and memoized) in process.
-
-    Every cell is a function of its own ``(application, year)`` alone, so
-    a grid whose years are a *subset* of an installed grid is served by
-    column-gathering the installed matrix — bit-identical to a fresh
-    build, and still zero scalar ``pow`` calls.  The gathered view is
-    re-installed under the requested key so repeats are exact hits.
-    """
-    installed = _INSTALLED_MATRICES.get(years)
-    if installed is not None:
-        counter_inc("columns.requirement_hits")
-        return installed
-    for key, matrix in _INSTALLED_MATRICES.items():
-        columns = {year: i for i, year in enumerate(key)}
-        if all(year in columns for year in years):
-            counter_inc("columns.requirement_slices")
-            sliced = np.ascontiguousarray(
-                matrix[:, [columns[year] for year in years]])
-            sliced.setflags(write=False)
-            _INSTALLED_MATRICES[years] = sliced
-            return sliced
-    return _build_requirement_matrix(years)
-
-
 @lru_cache(maxsize=64)
-def _build_requirement_matrix(years: tuple[float, ...]) -> np.ndarray:
+def requirement_matrix(years: tuple[float, ...]) -> np.ndarray:
     """Drifted minimums ``(n_apps, n_years)``, bit-exact vs ``min_at``.
 
     Every cell equals ``APPLICATIONS[a].min_at(years[y])`` to the last
@@ -149,13 +88,9 @@ def _build_requirement_matrix(years: tuple[float, ...]) -> np.ndarray:
 
 
 def clear_requirement_matrices() -> None:
-    """Drop memoized and installed requirement state (tests and ablation
-    hygiene)."""
-    global _INSTALLED_APPS
-    _INSTALLED_APPS = None
-    _INSTALLED_MATRICES.clear()
-    _build_requirement_matrix.cache_clear()
-    _build_application_columns.cache_clear()
+    """Drop memoized requirement state (tests and ablation hygiene)."""
+    requirement_matrix.cache_clear()
+    application_columns.cache_clear()
 
 
 # Requirement matrices derive from APPLICATIONS drift alone — no machine

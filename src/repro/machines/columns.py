@@ -35,8 +35,6 @@ from repro.obs.trace import counter_inc, trace
 __all__ = [
     "MachineColumns",
     "machine_columns",
-    "machine_columns_from_arrays",
-    "install_machine_columns",
     "clear_machine_columns",
     "machine_columns_info",
 ]
@@ -126,80 +124,20 @@ def _build_columns() -> MachineColumns:
         )
 
 
-# A column set installed from an on-disk snapshot (repro.store) takes
-# precedence over the lazily-built one: loading it costs zero assess()
-# calls, and forked serving workers share its mmap pages.
-_INSTALLED: MachineColumns | None = None
-
-
 def machine_columns() -> MachineColumns:
-    """The columnar catalog: snapshot-installed if present, else built
-    lazily (one build per catalog state)."""
-    if _INSTALLED is not None:
-        counter_inc("columns.machine_hits")
-        return _INSTALLED
+    """The columnar catalog, built lazily (one build per catalog state)."""
     if _build_columns.cache_info().currsize:
         counter_inc("columns.machine_hits")
     return _build_columns()
 
 
-def machine_columns_from_arrays(
-    arrays: Mapping[str, np.ndarray],
-) -> MachineColumns:
-    """Assemble a :class:`MachineColumns` from precomputed arrays.
-
-    The load-from-snapshot constructor: the machine tuple and key index
-    are rebuilt from the import-time catalog (free), the numeric columns
-    come from ``arrays`` untouched (typically read-only memmaps), and no
-    ``assess()`` runs.  Array order must be catalog order — the snapshot
-    manifest hash guarantees it.
-    """
-    machines = tuple(_catalog.COMMERCIAL_SYSTEMS)
-    for name in ("intro_years", "entry_mtops", "max_config_mtops",
-                 "reachable_mtops", "field_upgradable", "units_installed",
-                 "controllability_index", "class_codes", "uncontrollable"):
-        if name not in arrays or len(arrays[name]) != len(machines):
-            from repro.obs.errors import ValidationError
-
-            raise ValidationError(
-                f"snapshot column {name!r} is missing or mis-sized",
-                context={"column": name,
-                         "got": len(arrays.get(name, ())),
-                         "valid": len(machines)},
-            )
-    return MachineColumns(
-        machines=machines,
-        intro_years=arrays["intro_years"],
-        entry_mtops=arrays["entry_mtops"],
-        max_config_mtops=arrays["max_config_mtops"],
-        reachable_mtops=arrays["reachable_mtops"],
-        field_upgradable=arrays["field_upgradable"],
-        units_installed=arrays["units_installed"],
-        controllability_index=arrays["controllability_index"],
-        class_codes=arrays["class_codes"],
-        uncontrollable=arrays["uncontrollable"],
-        index_by_key=MappingProxyType(
-            {m.key: i for i, m in enumerate(machines)}),
-        epoch=current_epoch(),
-    )
-
-
-def install_machine_columns(columns: MachineColumns) -> None:
-    """Make ``columns`` the process-wide column set (snapshot load path)."""
-    global _INSTALLED
-    counter_inc("columns.machine_installs")
-    _INSTALLED = columns
-
-
 def clear_machine_columns() -> None:
     """Drop the cached column set (tests and ablation hygiene)."""
-    global _INSTALLED
-    _INSTALLED = None
     _build_columns.cache_clear()
 
 
-# Machine events drop the column set (snapshot-installed or built); the
-# next read rebuilds it from the live catalog.
+# Machine events drop the column set; the next read rebuilds it from the
+# live catalog.
 register_invalidation_hook(
     "machines.columns", lambda epoch: clear_machine_columns(),
     kinds=("append_machine", "amend_machine"))
@@ -212,8 +150,6 @@ def machine_columns_info() -> dict[str, int]:
     stats = counters()
     return {
         "cached": int(_build_columns.cache_info().currsize),
-        "installed": int(_INSTALLED is not None),
         "builds": int(stats.get("columns.machine_builds", 0)),
-        "installs": int(stats.get("columns.machine_installs", 0)),
         "hits": int(stats.get("columns.machine_hits", 0)),
     }

@@ -23,7 +23,6 @@ __all__ = [
     "installed_distribution",
     "installed_units_above",
     "installed_units_above_batch",
-    "install_suffix_index",
     "clear_installed_index",
     "market_value_between",
 ]
@@ -84,29 +83,8 @@ def installed_distribution(
     return edges, counts
 
 
-# Snapshot-installed per-year suffix tables (repro.store): loading them
-# costs zero distribution rebuilds and the arrays are mmap-shared across
-# forked serving workers.
-_INSTALLED_SUFFIX: dict[float, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _suffix_index(year: float) -> tuple[np.ndarray, np.ndarray]:
-    installed = _INSTALLED_SUFFIX.get(year)
-    if installed is not None:
-        return installed
-    return _build_suffix_index(year)
-
-
-def install_suffix_index(year: float, centers: np.ndarray,
-                         suffix: np.ndarray) -> None:
-    """Install one precomputed ``(centers, suffix)`` table (snapshot
-    load path)."""
-    counter_inc("market.suffix_installs")
-    _INSTALLED_SUFFIX[float(year)] = (centers, suffix)
-
-
 @lru_cache(maxsize=512)
-def _build_suffix_index(year: float) -> tuple[np.ndarray, np.ndarray]:
+def _suffix_index(year: float) -> tuple[np.ndarray, np.ndarray]:
     """``(centers, suffix)`` for the default-bin distribution at ``year``.
 
     ``suffix[k]`` is ``counts[k:].sum()`` — computed as exactly that
@@ -154,10 +132,8 @@ def installed_units_above_batch(
 
 
 def clear_installed_index() -> None:
-    """Drop cached and installed per-year suffix tables (tests and
-    ablation hygiene)."""
-    _INSTALLED_SUFFIX.clear()
-    _build_suffix_index.cache_clear()
+    """Drop cached per-year suffix tables (tests and ablation hygiene)."""
+    _suffix_index.cache_clear()
 
 
 # Suffix tables are keyed by year and aggregate the whole catalog's

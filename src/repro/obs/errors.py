@@ -30,7 +30,6 @@ __all__ = [
     "TrendFitError",
     "ServiceOverloadedError",
     "DeadlineExceededError",
-    "SnapshotStaleError",
     "ScenarioEpochError",
 ]
 
@@ -97,13 +96,6 @@ class ServiceOverloadedError(ReproError, RuntimeError):
 class DeadlineExceededError(ReproError, TimeoutError):
     """A request missed its deadline before a result could be produced
     (HTTP 504); ``context['deadline_ms']`` names the budget."""
-
-
-class SnapshotStaleError(ReproError, RuntimeError):
-    """An on-disk columnar snapshot no longer matches the live catalog,
-    threshold history, or schedule parameters; ``context`` carries both
-    hashes.  Loading refuses rather than serving stale data — rebuild
-    with ``repro snapshot``."""
 
 
 class ScenarioEpochError(ReproError, RuntimeError):

@@ -39,7 +39,6 @@ WORKLOAD_NAMES = (
     "parallel_keysearch",
     "policy_grid",
     "acquisition_mc",
-    "snapshot_cold_start",
     "serve_prefork_load",
     "scenario_grid",
     "agentic_mix",
@@ -455,128 +454,12 @@ def _bench_acquisition_mc(quick: bool) -> dict:
     return row
 
 
-def _bench_snapshot_cold_start(quick: bool) -> dict:
-    """Serving cold start: rebuild every columnar store vs load a
-    mmap snapshot.
-
-    The "scalar" side is what a worker pays today at startup — one
-    ``assess()`` per catalog machine, the frontier index, the canonical
-    requirement matrix, a suffix table per snapshot year, and the credit
-    prefix sums, all from scratch.  The "batch" side is
-    ``load_snapshot``: hash check plus lazy memmaps, installed through
-    the same hooks.  Two gates ride on the row: the loaded stores must
-    be **bit-identical** to the fresh build (``max_rel_err`` is 0.0 or
-    1.0), and the load must do **zero** columnar rebuilds — every
-    ``BUILD_COUNTERS`` delta stays 0, or parity reports 1.0.
-    """
-    import tempfile
-
-    from repro.controllability.frontier import (
-        UNCONTROLLABILITY_LAG_YEARS,
-        _frontier_index,
-    )
-    from repro.controllability.index import DEFAULT_WEIGHTS
-    from repro.ctp.batch import credit_sums
-    from repro.diffusion.columns import application_columns, requirement_matrix
-    from repro.machines.columns import machine_columns
-    from repro.market.installed import _suffix_index
-    from repro.store import (
-        DEFAULT_SNAPSHOT_YEARS,
-        build_counter_totals,
-        build_snapshot,
-        clear_store_caches,
-        load_snapshot,
-    )
-
-    years = DEFAULT_SNAPSHOT_YEARS
-
-    def cold_build() -> tuple:
-        clear_store_caches()
-        cols = machine_columns()
-        index = _frontier_index(DEFAULT_WEIGHTS,
-                                UNCONTROLLABILITY_LAG_YEARS)
-        application_columns()
-        matrix = requirement_matrix(years)
-        suffix = [_suffix_index(year) for year in years]
-        credit = {
-            coupling: credit_sums(1 if coupling is Coupling.SINGLE
-                                  else 512, coupling)
-            for coupling in Coupling
-        }
-        return cols, index, matrix, suffix, credit
-
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "snapshot"
-        info = build_snapshot(path)
-
-        cols, index, matrix, suffix, credit = cold_build()
-
-        def load() -> None:
-            clear_store_caches()
-            load_snapshot(path)
-
-        # Parity: everything the snapshot installs must match the fresh
-        # build to the last bit, and installing must build nothing.
-        clear_store_caches()
-        before = build_counter_totals()
-        load_snapshot(path)
-        cols2 = machine_columns()
-        index2 = _frontier_index(DEFAULT_WEIGHTS,
-                                 UNCONTROLLABILITY_LAG_YEARS)
-        matrix2 = requirement_matrix(years)
-        suffix2 = [_suffix_index(year) for year in years]
-        credit2 = {
-            coupling: credit_sums(1 if coupling is Coupling.SINGLE
-                                  else 512, coupling)
-            for coupling in Coupling
-        }
-        after = build_counter_totals()
-        deltas = {
-            name: total - before[name] for name, total in after.items()
-        }
-        exact = (
-            all(deltas[name] == 0 for name in deltas)
-            and all(
-                np.array_equal(getattr(cols, field), getattr(cols2, field))
-                for field in ("intro_years", "entry_mtops",
-                              "max_config_mtops", "reachable_mtops",
-                              "field_upgradable", "units_installed",
-                              "controllability_index", "class_codes",
-                              "uncontrollable"))
-            and cols.machines == cols2.machines
-            and np.array_equal(index.qualify_years, index2.qualify_years)
-            and np.array_equal(index.running_max, index2.running_max)
-            and index.leaders == index2.leaders
-            and np.array_equal(matrix, matrix2)
-            and all(np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
-                    for a, b in zip(suffix, suffix2))
-            and all(np.array_equal(credit[c], credit2[c]) for c in credit)
-        )
-
-        scalar = time_workload(cold_build, "cold_build",
-                               repeats=2 if quick else 3)
-        fast = time_workload(load, "snapshot_load",
-                             repeats=3 if quick else 5)
-        clear_store_caches()
-    row = _row("snapshot_cold_start",
-               f"serving cold start over {len(years)} snapshot years "
-               f"(rebuild machine columns, frontier index, requirement "
-               f"matrix, suffix tables, and credit sums from scratch vs "
-               f"one mmap snapshot load with zero rebuilds)",
-               scalar, fast, 0.0 if exact else 1.0)
-    row["n_arrays"] = info.n_arrays
-    row["manifest_hash"] = info.manifest_hash
-    row["build_counter_deltas"] = deltas
-    return row
-
-
 def _bench_serve_prefork_load(quick: bool) -> dict:
     """Open-loop HTTP load, single-process server vs a pre-forked fleet.
 
-    Both servers run the identical engine over the identical snapshot
-    state and face the same Poisson arrival schedules
-    (:mod:`repro.perf.loadgen`), so the only variable is the process
-    model.  ``Timing.best_seconds`` is seconds-per-request at the peak
+    Both servers run the identical engine and face the same Poisson
+    arrival schedules (:mod:`repro.perf.loadgen`), so the only variable
+    is the process model.  ``Timing.best_seconds`` is seconds-per-request at the peak
     achieved rate, making ``speedup`` the fleet/single **throughput
     ratio**.  ``max_rel_err`` is a bit-identity check: a fixed probe set
     of /rate and /policy requests must return byte-identical bodies from
@@ -585,13 +468,11 @@ def _bench_serve_prefork_load(quick: bool) -> dict:
     :func:`_pool_speedup_row`) and the >= 2x gate skips.
     """
     import os
-    import tempfile
 
     from repro.perf.loadgen import rate_sweep, saturation_knee
     from repro.serve.client import ServeClient
     from repro.serve.prefork import PreforkServer
     from repro.serve.server import ServeConfig, ServeServer
-    from repro.store import build_snapshot, clear_store_caches, load_snapshot
 
     cpu_count = os.cpu_count() or 1
     workers = max(2, min(4, cpu_count))
@@ -633,19 +514,12 @@ def _bench_serve_prefork_load(quick: bool) -> dict:
         finally:
             client.close()
 
-    with tempfile.TemporaryDirectory() as tmp:
-        snapshot_path = Path(tmp) / "snapshot"
-        build_snapshot(snapshot_path)
-        clear_store_caches()
-        load_snapshot(snapshot_path)
-
-        # Single process first: the fleet forks after these threads die.
-        with ServeServer(config) as single:
-            single_results, single_bodies = measure(single.port)
-        with PreforkServer(config, n_workers=workers) as fleet:
-            fleet_results, fleet_bodies = measure(fleet.port)
-            fleet_mode = fleet.mode
-        clear_store_caches()
+    # Single process first: the fleet forks after these threads die.
+    with ServeServer(config) as single:
+        single_results, single_bodies = measure(single.port)
+    with PreforkServer(config, n_workers=workers) as fleet:
+        fleet_results, fleet_bodies = measure(fleet.port)
+        fleet_mode = fleet.mode
 
     identical = single_bodies == fleet_bodies
     peak_single = max(r.achieved_rps for r in single_results)
@@ -659,9 +533,9 @@ def _bench_serve_prefork_load(quick: bool) -> dict:
     row = _pool_speedup_row(
         "serve_prefork_load",
         f"open-loop Poisson /rate load over HTTP, 1 process vs {workers} "
-        f"pre-forked workers ({fleet_mode} sharding) on shared snapshot "
-        f"state; timings are seconds/request at peak achieved "
-        f"throughput, so speedup is the throughput ratio",
+        f"pre-forked workers ({fleet_mode} sharding); timings are "
+        f"seconds/request at peak achieved throughput, so speedup is the "
+        f"throughput ratio",
         scalar, fast, 0.0 if identical else 1.0, workers, cpu_count)
     row["mode"] = fleet_mode
     row["offered_rates_rps"] = list(rates)
@@ -939,7 +813,6 @@ _BENCHES = {
     "parallel_keysearch": _bench_parallel_keysearch,
     "policy_grid": _bench_policy_grid,
     "acquisition_mc": _bench_acquisition_mc,
-    "snapshot_cold_start": _bench_snapshot_cold_start,
     "serve_prefork_load": _bench_serve_prefork_load,
     "scenario_grid": _bench_scenario_grid,
     "agentic_mix": _bench_agentic_mix,

@@ -76,7 +76,7 @@ __all__ = [
 
 #: Memoized scenario-drift requirement matrices, keyed
 #: ``(rate, floor, years)`` — the scenario-layer sibling of
-#: ``_build_requirement_matrix``'s lru_cache.
+#: ``requirement_matrix``'s lru_cache.
 _DRIFT_MATRICES: dict[tuple[float, float, tuple[float, ...]], np.ndarray] = {}
 
 #: Completed world tensors, keyed
@@ -106,7 +106,7 @@ def _scenario_requirements(
     """Requirement matrix under a scenario drift regime.
 
     The exact loop of
-    :func:`repro.diffusion.columns._build_requirement_matrix` with the
+    :func:`repro.diffusion.columns.requirement_matrix` with the
     scenario's ``(rate, floor)`` in place of the paper's constants —
     Python-scalar ``pow`` per distinct elapsed, never a vectorized
     ``**`` — so the historical parameters reproduce the historical

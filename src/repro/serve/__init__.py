@@ -21,7 +21,7 @@ package turns many small concurrent requests into few large batch calls:
   :class:`ServiceEngine` plus the stdlib ``ThreadingHTTPServer`` front
   end (``repro serve``);
 * :mod:`repro.serve.prefork` — the pre-forked worker fleet sharing one
-  port over mmap-shared snapshot state (``repro serve --workers N``);
+  port (``repro serve --workers N``);
 * :mod:`repro.serve.client` — the stdlib client used by tests, CI, and
   the serving benchmarks (stale keep-alive connections retry once,
   transparently).

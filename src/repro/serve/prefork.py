@@ -16,12 +16,9 @@ flock of forked workers each running the *unchanged*
   a non-listening socket receives no connections.  Elsewhere, the parent
   binds and listens once and workers ``accept()`` on the inherited
   descriptor — noisier under load, identical semantics.
-* **shared read-only state** — the parent loads a ``repro.store``
-  snapshot (mmap-mode arrays) *before* forking, so every worker's
-  columnar stores point at the same physical pages.  N workers cost one
-  snapshot's RAM, and none of them ever rebuilds a column.
 * **control plane** — each worker holds one end of a ``socketpair``;
-  line-delimited JSON carries ``ready`` upward and
+  line-delimited JSON carries ``ready`` (or one ``failed`` line with
+  the worker's start-up error) upward and
   ``healthz``/``metrics``/``shutdown`` downward.  Worker death is EOF;
   parent death is EOF the other way, and an orphaned worker shuts itself
   down rather than serving forever unsupervised.
@@ -32,8 +29,8 @@ flock of forked workers each running the *unchanged*
   bound.
 
 Responses are byte-identical to the single-process server's: workers
-run the same engine over the same (snapshot-identical) stores, and every
-endpoint's result depends only on its own request.
+run the same engine, each building its own columnar stores lazily on
+first use, and every endpoint's result depends only on its own request.
 """
 
 from __future__ import annotations
@@ -46,7 +43,7 @@ import socket
 import threading
 import time
 
-from repro.obs.errors import SnapshotStaleError, ValidationError
+from repro.obs.errors import ValidationError
 from repro.serve.server import ServeConfig, ServeServer
 
 __all__ = ["PreforkServer", "run_prefork_server", "reuseport_available"]
@@ -147,6 +144,7 @@ def _worker_main(
 ) -> None:
     """Runs in the forked child; never returns (``os._exit``)."""
     server = None
+    ready = False
     exit_code = 0
     stop = threading.Event()
 
@@ -157,14 +155,6 @@ def _worker_main(
         signal.signal(signum, lambda *_: stop.set())
 
     try:
-        # A worker serving from a snapshot that no longer matches the
-        # in-process catalog would answer from skewed data forever (or,
-        # historically, crash-loop with no signal the parent could read).
-        # Check before binding: the failure becomes one structured
-        # control-plane message instead of N opaque exit codes.
-        from repro.store import verify_active_snapshot
-
-        verify_active_snapshot()
         if inherited is not None:
             listen = inherited
         else:
@@ -174,6 +164,7 @@ def _worker_main(
         server.start()
         _send_msg(control, {"event": "ready", "worker_id": worker_id,
                             "pid": os.getpid(), "port": bound_port})
+        ready = True
 
         reader = _LineReader(control)
         while not stop.is_set():
@@ -189,20 +180,19 @@ def _worker_main(
                 _send_msg(control, server.engine.metrics())
             elif cmd == "shutdown":
                 break
-    except SnapshotStaleError as exc:
-        # Surface the stale-snapshot state upward so the parent can fail
-        # the whole fleet fast with a diagnosis instead of a crash loop.
+    except Exception as exc:  # noqa: BLE001 — always exit cleanly
         exit_code = 1
-        try:
-            _send_msg(control, {"event": "snapshot_stale",
-                                "worker_id": worker_id,
-                                "pid": os.getpid(),
-                                "message": str(exc),
-                                "context": exc.context})
-        except OSError:
-            pass
-    except Exception:  # noqa: BLE001 — a worker must always exit cleanly
-        exit_code = 1
+        if not ready:
+            # One line upward, so the parent fails the whole fleet with
+            # the cause instead of an opaque exit code.
+            lines = str(exc).splitlines()
+            error = f"{type(exc).__name__}: {lines[0] if lines else ''}"
+            try:
+                _send_msg(control, {"event": "failed",
+                                    "worker_id": worker_id,
+                                    "pid": os.getpid(), "error": error})
+            except OSError:
+                pass
     finally:
         try:
             if server is not None:
@@ -262,9 +252,7 @@ class PreforkServer:
     SIGKILLs stragglers after ``drain_timeout`` plus grace.
 
     Fork happens in :meth:`start`, before the parent spins up any
-    thread, and after any ``repro.store`` snapshot has been loaded — so
-    workers share the parent's read-only mmap pages instead of paging in
-    their own copies.
+    thread; each worker builds its own columnar stores on first use.
     """
 
     def __init__(self, config: ServeConfig | None = None,
@@ -325,32 +313,14 @@ class PreforkServer:
         for worker in self.workers:
             remaining = max(0.0, deadline - time.monotonic())
             message = worker.reader.read_msg(remaining)
-            if message is not None \
-                    and message.get("event") == "snapshot_stale":
-                # One structured failure for the whole fleet — both
-                # hashes, the epoch delta, and the rebuild command —
-                # instead of N workers crash-looping in silence.
-                context = dict(message.get("context") or {})
-                snapshot_dir = context.get("path", ".repro-snapshot")
-                self.close()
-                raise SnapshotStaleError(
-                    f"worker {worker.worker_id} refused to serve from a "
-                    "stale snapshot; rebuild it with "
-                    f"`repro snapshot --output {snapshot_dir}`",
-                    context={"worker_id": worker.worker_id,
-                             "pid": message.get("pid", worker.pid),
-                             "snapshot_hash": context.get("got"),
-                             "live_hash": context.get("valid"),
-                             "epoch_delta": context.get("epoch_delta"),
-                             "path": snapshot_dir,
-                             "rebuild":
-                                 f"repro snapshot --output {snapshot_dir}"},
-                )
             if message is None or message.get("event") != "ready":
                 self.close()
+                error = (message or {}).get("error")
                 raise ValidationError(
-                    f"worker {worker.worker_id} failed to start",
-                    context={"pid": worker.pid, "got": message,
+                    f"worker {worker.worker_id} failed to start"
+                    + (f": {error}" if error else ""),
+                    context={"pid": worker.pid,
+                             "got": error or message,
                              "valid": '{"event": "ready"}'},
                 )
         return self
@@ -376,6 +346,7 @@ class PreforkServer:
                 "worker_id": worker.worker_id,
                 "pid": worker.pid,
                 "alive": worker.alive and body is not None,
+                "exit_code": worker.exit_code,
                 "healthz": body,
             })
         n_live = sum(1 for row in rows if row["alive"])
@@ -389,14 +360,10 @@ class PreforkServer:
         }
 
     def metrics(self, timeout: float = 5.0) -> dict:
-        """Per-worker ``metrics`` bodies plus a fleet-level roll-up.
-
-        Also surfaces ``snapshot_skew``: True when live workers disagree
-        about which snapshot they serve from (deploy gone wrong).
-        """
+        """Per-worker ``metrics`` bodies plus a roll-up over the live
+        workers (a dead worker's body is ``None``)."""
         self._reap()
         per_worker = {}
-        hashes = set()
         requests_total = 0
         plan_totals = {"plans": 0, "ops_fused": 0, "cse_hits": 0,
                        "reuse_hits": 0}
@@ -405,7 +372,6 @@ class PreforkServer:
             per_worker[str(worker.worker_id)] = body
             if body is not None:
                 serve = body.get("serve", {})
-                hashes.add(serve.get("snapshot_manifest_hash"))
                 requests_total += int(
                     body.get("counters", {}).get("serve.requests", 0))
                 worker_plan = serve.get("plan", {})
@@ -416,7 +382,6 @@ class PreforkServer:
             "n_workers": self.n_workers,
             "requests_total": requests_total,
             "plan": plan_totals,
-            "snapshot_skew": len(hashes) > 1,
             "workers": per_worker,
         }
 

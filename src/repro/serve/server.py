@@ -496,30 +496,22 @@ class ServiceEngine:
     # -- introspection ------------------------------------------------------
 
     def _identity(self) -> dict:
-        """Who is answering: process, worker slot, and snapshot version.
+        """Who is answering: process and worker slot.
 
         ``pid`` is read at call time, so an engine constructed before a
-        fork reports each worker's own pid.  ``snapshot_manifest_hash``
-        is ``None`` for a fresh in-process build; in a fleet, a worker
-        whose hash differs from its peers is serving skewed data.
+        fork reports each worker's own pid.
         """
         import os
 
-        from repro.store import active_manifest_hash
-
-        return {
-            "pid": os.getpid(),
-            "worker_id": self.worker_id,
-            "snapshot_manifest_hash": active_manifest_hash(),
-        }
+        return {"pid": os.getpid(), "worker_id": self.worker_id}
 
     def list_machines(self) -> dict:
         """Read-only catalog listing off the shared machine columns.
 
         Served straight from :func:`repro.machines.columns
-        .machine_columns` (snapshot-installed or in-process build alike)
-        and tagged with the catalog epoch in force, so agentic clients
-        can correlate a listing with subsequent point queries.
+        .machine_columns` and tagged with the catalog epoch in force, so
+        agentic clients can correlate a listing with subsequent point
+        queries.
         """
         from repro.machines.columns import machine_columns
 

@@ -11,13 +11,14 @@ must neither regress the index nor flip the leader), threshold
 amendments straddling ``threshold_at`` bisect era boundaries, the epoch
 read/write guard that lets an in-flight micro-batch complete against its
 admission epoch, the epoch-keyed serve cache, and the pre-fork
-``snapshot_stale`` fast failure.
+start-up fast failure.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import os
 import threading
 import time
 
@@ -51,7 +52,6 @@ from repro.catalog.registry import (
 )
 from repro.controllability.frontier import (
     UNCONTROLLABILITY_LAG_YEARS,
-    _build_frontier_index,
     _classified_population,
     _frontier_index,
     lower_bound_uncontrollable,
@@ -61,11 +61,7 @@ from repro.diffusion import policy
 from repro.diffusion.policy import threshold_at
 from repro.machines.catalog import COMMERCIAL_SYSTEMS, find_machine
 from repro.machines.columns import _build_columns, machine_columns
-from repro.obs.errors import (
-    CatalogLookupError,
-    SnapshotStaleError,
-    ValidationError,
-)
+from repro.obs.errors import CatalogLookupError, ValidationError
 from repro.serve.cache import MISS, LRUCache
 from repro.serve.rpc import rpc_response
 from repro.serve.server import ServeConfig, ServiceEngine
@@ -282,7 +278,7 @@ class CatalogEventMachine(RuleBasedStateMachine):
         assert _classified_population(DEFAULT_WEIGHTS, False) \
             == _classified_population.__wrapped__(DEFAULT_WEIGHTS, False)
         index = _frontier_index(DEFAULT_WEIGHTS, lag)
-        fresh = _build_frontier_index.__wrapped__(DEFAULT_WEIGHTS, lag)
+        fresh = _frontier_index.__wrapped__(DEFAULT_WEIGHTS, lag)
         assert _same_bytes(index.qualify_years, fresh.qualify_years)
         assert _same_bytes(index.running_max, fresh.running_max)
         assert index.leaders == fresh.leaders
@@ -383,14 +379,9 @@ class TestThresholdEraBoundaries:
 
 class TestInvalidationRegistry:
     def test_invalidate_all_runs_every_hook(self):
-        # Hooks register at import time; make sure the store module (the
-        # only one not already pulled in transitively) is loaded.
-        import repro.store  # noqa: F401
-
         ran = invalidate_all()
         assert "machines.columns" in ran
         assert "controllability.frontier" in ran
-        assert "store.snapshot" in ran
         assert "diffusion.columns.requirements" in ran
 
     def test_invalidate_for_is_kind_precise(self):
@@ -542,67 +533,66 @@ class TestLRUCacheEpochPurge:
 
 
 class TestSnapshotEpochs:
-    def test_manifest_records_epoch_and_stale_error_carries_delta(
-            self, tmp_path):
-        from repro.store import build_snapshot, load_snapshot
+    """Machine columns are stamped with the epoch they were built under
+    and rebuilt lazily once per catalog state."""
 
-        info = build_snapshot(tmp_path / "snap")
-        assert info.manifest["epoch"] == 0
-        load_snapshot(tmp_path / "snap")
-
+    def test_manifest_records_epoch_and_stale_error_carries_delta(self):
+        assert machine_columns().epoch == 0
         apply_event(parse_event(_payload()))
-        # The event deactivated the snapshot (this process no longer
-        # serves from it)...
-        from repro.store import active_manifest_hash
-
-        assert active_manifest_hash() is None
-        # ...and re-loading the now-stale artifact reports how many
-        # epochs the live catalog has moved past it.
-        with pytest.raises(SnapshotStaleError) as excinfo:
-            load_snapshot(tmp_path / "snap")
-        assert excinfo.value.context["epoch_delta"] == 1
+        columns = machine_columns()
+        assert columns.epoch == current_epoch() == 1
+        assert "TestCo Churn-1" in columns.index_by_key
 
     def test_verify_active_snapshot_noop_without_snapshot(self):
-        from repro.store import verify_active_snapshot
+        first = machine_columns()
+        assert machine_columns() is first
+        assert _frontier_index(DEFAULT_WEIGHTS, UNCONTROLLABILITY_LAG_YEARS) \
+            is _frontier_index(DEFAULT_WEIGHTS, UNCONTROLLABILITY_LAG_YEARS)
 
-        verify_active_snapshot()  # must not raise
-
-    def test_snapshot_after_events_round_trips(self, tmp_path):
-        from repro.store import build_snapshot, clear_store_caches, \
-            load_snapshot
-
+    def test_snapshot_after_events_round_trips(self):
         apply_event(parse_event(_payload()))
-        info = build_snapshot(tmp_path / "snap")
-        assert info.manifest["epoch"] == 1
-        clear_store_caches()
-        loaded = load_snapshot(tmp_path / "snap")
-        assert loaded.manifest_hash == info.manifest_hash
-        assert find_machine("TestCo Churn-1").ctp_mtops == 1800.0
+        apply_event(parse_event({
+            "event": "amend_machine", "key": "TestCo Churn-1",
+            "machine": _payload(units_installed=12)["machine"]}))
+        warm = machine_columns()
+        warm_index = _frontier_index(DEFAULT_WEIGHTS,
+                                     UNCONTROLLABILITY_LAG_YEARS)
+        invalidate_all()
+        cold = machine_columns()
+        cold_index = _frontier_index(DEFAULT_WEIGHTS,
+                                     UNCONTROLLABILITY_LAG_YEARS)
+        assert cold is not warm
+        assert cold.machines == warm.machines
+        assert cold.epoch == warm.epoch == 2
+        assert dict(cold.index_by_key) == dict(warm.index_by_key)
+        for name in _COLUMN_ARRAYS:
+            assert _same_bytes(getattr(cold, name), getattr(warm, name)), name
+        assert _same_bytes(cold_index.qualify_years, warm_index.qualify_years)
+        assert _same_bytes(cold_index.running_max, warm_index.running_max)
+        assert cold_index.leaders == warm_index.leaders
 
 
 class TestPreforkStaleFastFailure:
-    def test_stale_worker_fails_fleet_with_diagnosis(self, tmp_path):
-        from repro.machines import catalog as machine_catalog
-        from repro.serve.prefork import PreforkServer
-        from repro.store import build_snapshot, load_snapshot
+    def test_stale_worker_fails_fleet_with_diagnosis(self, monkeypatch):
+        import repro.serve.prefork as prefork
 
-        build_snapshot(tmp_path / "snap")
-        load_snapshot(tmp_path / "snap")
-        # Skew the catalog *without* the event path, so the snapshot
-        # stays active while the live hash diverges — exactly the state
-        # a worker must refuse to serve from.
-        clone = dataclasses.replace(
-            machine_catalog.COMMERCIAL_SYSTEMS[0],
-            vendor="SkewCo", model="X1")
-        machine_catalog.append_machine_entry(clone)
-        with pytest.raises(SnapshotStaleError) as excinfo:
-            PreforkServer(ServeConfig(port=0),
-                          n_workers=2).start(ready_timeout=30.0)
-        context = excinfo.value.context
-        assert context["snapshot_hash"] != context["live_hash"]
-        assert context["snapshot_hash"] and context["live_hash"]
-        assert "repro snapshot --output" in context["rebuild"]
-        assert "rebuild" in str(excinfo.value)
+        def refuse(*args, **kwargs):
+            raise RuntimeError("cannot serve: disk on fire\nsecond line")
+
+        monkeypatch.setattr(prefork, "ServeServer", refuse)
+        fleet = prefork.PreforkServer(ServeConfig(port=0), n_workers=2)
+        with pytest.raises(ValidationError) as excinfo:
+            fleet.start(ready_timeout=30.0)
+        diagnosis = "RuntimeError: cannot serve: disk on fire"
+        assert str(excinfo.value).startswith(
+            f"worker 0 failed to start: {diagnosis}")
+        assert excinfo.value.context["got"] == diagnosis
+        assert "second line" not in str(excinfo.value)
+        assert len(fleet.workers) == 2
+        for worker in fleet.workers:
+            assert not worker.alive
+            with pytest.raises(ChildProcessError):
+                os.waitpid(worker.pid, os.WNOHANG)
 
 
 class TestCatalogCLI:

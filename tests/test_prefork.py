@@ -2,7 +2,8 @@
 
 Covers both sharding modes (``SO_REUSEPORT`` and the inherited-socket
 fallback), the control-plane fan-out (fleet ``healthz``/``metrics``
-with per-worker identity and snapshot-skew detection), graceful
+with per-worker identity), a parent-side catalog event inherited by
+every worker, an honest roll-up after a worker is SIGKILLed, graceful
 SIGTERM-style shutdown with exit code 0 from every worker, and the
 :class:`ServeClient` stale keep-alive retry semantics.
 
@@ -13,14 +14,20 @@ its test.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
+import signal
 import socket
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
+from repro.catalog.events import AppendMachine, apply_event, reset_catalog
+from repro.machines import catalog as machine_catalog
+from repro.machines.columns import machine_columns
 from repro.obs.errors import ValidationError
 from repro.serve import (
     PreforkServer,
@@ -30,7 +37,6 @@ from repro.serve import (
     reuseport_available,
 )
 from repro.serve.client import STALE_CONNECTION_ERRORS
-from repro.store import build_snapshot, clear_store_caches, load_snapshot
 
 
 def _fleet(n_workers: int = 2, **overrides) -> PreforkServer:
@@ -75,7 +81,6 @@ class TestFleet:
         assert body["status"] == "ok"
         assert body["pid"] > 0
         assert body["worker_id"] in (0, 1)
-        assert "snapshot_manifest_hash" in body
 
     def test_requests_distribute_across_workers(self, fleet):
         pids = {_fresh_get(fleet.port, "/healthz")["pid"]
@@ -109,7 +114,6 @@ class TestFleet:
         finally:
             client.close()
         report = fleet.metrics(timeout=5.0)
-        assert report["snapshot_skew"] is False
         assert report["requests_total"] >= 4
         assert set(report["workers"]) == {"0", "1"}
 
@@ -243,20 +247,71 @@ class TestSharedListenSocket:
 
 
 class TestSnapshotIdentity:
-    def test_workers_report_parent_snapshot_hash(self, tmp_path):
-        info = build_snapshot(tmp_path / "snapshot")
+    def test_workers_report_parent_snapshot_hash(self):
+        """Workers fork from the parent's catalog state: an event applied
+        in the parent before the fork shows on every worker."""
+        machine_columns()  # warm parent-side stores the event must drop
+        machine = dataclasses.replace(
+            machine_catalog.COMMERCIAL_SYSTEMS[0],
+            vendor="ForkCo", model="F-1")
         try:
-            load_snapshot(tmp_path / "snapshot")
+            assert apply_event(AppendMachine(machine=machine)).applied
             fleet = _fleet()
             try:
-                body = _fresh_get(fleet.port, "/healthz")
-                assert (body["snapshot_manifest_hash"]
-                        == info.manifest_hash)
-                assert fleet.metrics()["snapshot_skew"] is False
+                seen = {}
+                for _ in range(40):
+                    body = _fresh_get(fleet.port, "/machines")
+                    seen[body["pid"]] = body
+                    if len(seen) == 2:
+                        break
+                assert len(seen) == 2
+                for body in seen.values():
+                    assert body["catalog_epoch"] == 1
+                    assert body["machines"][-1]["key"] == machine.key
+                    assert body["count"] == len(
+                        machine_catalog.COMMERCIAL_SYSTEMS)
             finally:
                 fleet.close()
         finally:
-            clear_store_caches()
+            reset_catalog()
+
+
+class TestWorkerDeath:
+    def test_sigkilled_worker_leaves_honest_fleet(self):
+        fleet = _fleet()
+        try:
+            victim, survivor = fleet.workers
+            os.kill(victim.pid, signal.SIGKILL)
+            deadline = time.monotonic() + 10.0
+            while fleet.exit_codes()[victim.worker_id] is None:
+                assert time.monotonic() < deadline, "victim not reaped"
+                time.sleep(0.02)
+
+            health = fleet.healthz(timeout=5.0)
+            assert health["status"] == "degraded"
+            assert health["n_live"] == 1
+            rows = {row["worker_id"]: row for row in health["workers"]}
+            assert rows[victim.worker_id]["alive"] is False
+            assert rows[victim.worker_id]["exit_code"] == -signal.SIGKILL
+            assert rows[victim.worker_id]["healthz"] is None
+            assert rows[survivor.worker_id]["alive"] is True
+            assert rows[survivor.worker_id]["exit_code"] is None
+
+            for _ in range(8):
+                body = _fresh_get(fleet.port, "/healthz")
+                assert body["pid"] == survivor.pid
+
+            metrics = fleet.metrics(timeout=5.0)
+            assert metrics["workers"][str(victim.worker_id)] is None
+            live = metrics["workers"][str(survivor.worker_id)]
+            assert metrics["requests_total"] == int(
+                live["counters"].get("serve.requests", 0))
+            assert metrics["requests_total"] >= 8
+        finally:
+            fleet.close()
+        codes = fleet.exit_codes()
+        assert codes[victim.worker_id] == -signal.SIGKILL
+        assert codes[survivor.worker_id] == 0
 
 
 class TestValidation:
