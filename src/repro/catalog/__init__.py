@@ -1,8 +1,8 @@
-"""Event-sourced catalog mutation (epoch, events, invalidation registry).
+"""Event-sourced catalog mutation (epoch, events, invalidation count).
 
 ``repro.catalog.registry`` is stdlib-only and safe to import from any
-layer (serve, store, machines, …); it is imported eagerly here.  The
-event machinery in :mod:`repro.catalog.events` pulls in most of the
+layer (serve, machines, …); it is imported eagerly here.  The event
+machinery in :mod:`repro.catalog.events` pulls in most of the
 repository and is exposed lazily (PEP 562) so that low-level modules can
 ``import repro.catalog`` for the registry without creating import
 cycles.
@@ -11,14 +11,10 @@ cycles.
 from __future__ import annotations
 
 from repro.catalog.registry import (
-    EVENT_KINDS,
     catalog_epoch_info,
     current_epoch,
     invalidate_all,
-    invalidate_for,
     read_guard,
-    register_invalidation_hook,
-    unregister_invalidation_hook,
     write_guard,
 )
 
@@ -33,16 +29,14 @@ __all__ = [
     "current_epoch",
     "events",
     "invalidate_all",
-    "invalidate_for",
     "parse_event",
     "read_guard",
-    "register_invalidation_hook",
     "reset_catalog",
-    "unregister_invalidation_hook",
     "write_guard",
 ]
 
 _LAZY = {
+    "EVENT_KINDS",
     "AppendMachine",
     "AmendMachine",
     "AmendThreshold",

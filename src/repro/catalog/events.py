@@ -11,10 +11,11 @@ module is the single mutation path for that stream: three event kinds —
 — each applied under the registry's write guard (excluding in-flight
 micro-batches) in three steps: install the new catalog or era tuple
 (which rebuilds its own bisect index), bump the global catalog epoch,
-and drop exactly the derived stores the event kind can stale via
-:func:`repro.catalog.registry.invalidate_for`.  Dropped stores (the
-machine columns, the frontier indexes, …) rebuild lazily on their next
-read, through the same build path as a cold start.
+and move the invalidation count.  Every catalog memo keys on that count
+(:func:`repro.catalog.registry.epoch_memo`), so whatever the event kind,
+the machine columns, the frontier indexes and the other catalog stores
+rebuild lazily on their next read, through the same build path as a
+cold start.
 
 Events are **idempotent**: re-applying an event that matches current
 state returns ``applied=False`` without bumping the epoch.  That is what
@@ -29,13 +30,16 @@ from dataclasses import dataclass
 from typing import Any, Mapping
 
 from repro.catalog.registry import (
+    _LOCK,
     _bump_epoch,
     _reset_epoch,
     current_epoch,
     invalidate_all,
-    invalidate_for,
     write_guard,
 )
+# The count bump has its own module name here so a tracer can time it by
+# patching this module's attribute (benchmarks/e2e/traced_server.py).
+from repro.catalog.registry import invalidate_all as invalidate_for
 from repro.machines.spec import (
     Architecture,
     DistributionChannel,
@@ -46,6 +50,7 @@ from repro.obs.errors import ValidationError
 from repro.obs.trace import counter_inc, trace
 
 __all__ = [
+    "EVENT_KINDS",
     "AppendMachine",
     "AmendMachine",
     "AmendThreshold",
@@ -55,6 +60,11 @@ __all__ = [
     "parse_event",
     "reset_catalog",
 ]
+
+
+#: The mutation event kinds :func:`parse_event` understands.
+EVENT_KINDS: tuple[str, ...] = ("append_machine", "amend_machine",
+                                "amend_threshold")
 
 
 @dataclass(frozen=True)
@@ -270,9 +280,7 @@ def parse_event(payload: Mapping[str, Any]):
         )
     raise ValidationError(
         f"unknown event kind {kind!r}",
-        context={"got": kind,
-                 "valid": ["append_machine", "amend_machine",
-                           "amend_threshold"]},
+        context={"got": kind, "valid": list(EVENT_KINDS)},
     )
 
 
@@ -282,10 +290,11 @@ def parse_event(payload: Mapping[str, Any]):
 
 
 def _commit(kind: str, key: str) -> AppliedEvent:
-    """Bump the epoch and drop the stores ``kind`` can stale (called
-    under the write guard, after the catalog mutation)."""
-    epoch = _bump_epoch()
-    invalidate_for(kind, epoch)
+    """Bump the epoch and move the invalidation count as one step
+    (called under the write guard, after the catalog mutation)."""
+    with _LOCK:
+        epoch = _bump_epoch()
+        invalidate_for()
     counter_inc("catalog.events_applied")
     return AppliedEvent(kind, key, epoch, True)
 
@@ -297,7 +306,7 @@ def apply_event(event) -> AppliedEvent:
     micro-batch dispatch can observe a half-applied event: a batch
     admitted at epoch N completes against epoch-N state, and the next
     batch sees epoch N+1 with the catalog already rebuilt and every
-    stale-able store already dropped.
+    catalog memo already cold.
     """
     from repro.machines import catalog as cat
 
@@ -358,13 +367,14 @@ def apply_event(event) -> AppliedEvent:
 
 def reset_catalog() -> None:
     """Restore the import-time catalog and threshold history, reset the
-    epoch to 0, and run the atomic :func:`invalidate_all` sweep (tests,
-    benchmarks, and ablation hygiene)."""
+    epoch to 0, and move the invalidation count (tests, benchmarks, and
+    ablation hygiene)."""
     from repro.diffusion import policy
     from repro.machines import catalog as cat
 
     with write_guard():
         cat.restore_baseline_catalog()
         policy.restore_baseline_threshold_history()
-        _reset_epoch()
-        invalidate_all(0)
+        with _LOCK:
+            _reset_epoch()
+            invalidate_all()

@@ -1,27 +1,25 @@
-"""Catalog epoch counter and the atomic cache-invalidation registry.
+"""Catalog epoch, the invalidation count, and the epoch read/write guard.
 
 This module is the coordination point for event-sourced catalog mutation
-(:mod:`repro.catalog.events`).  It is deliberately **stdlib-only** — every
-layer of the system (machines, diffusion, ctp, serve) registers its
-cache-clear hooks here at import time, so the registry itself must not
-import any of them.
+(:mod:`repro.catalog.events`).  It is deliberately **stdlib-only** so any
+layer (machines, diffusion, ctp, serve) can import it without a cycle.
 
 Three pieces live here:
 
 * the **catalog epoch** — a global monotonic counter bumped once per
-  applied mutation event.  Every derived artifact (columns stores,
-  ``PolicyGrid``, micro-batches, cached serve responses) is tagged with
-  the epoch it was built under, which is what makes staleness a
-  checkable property instead of a latent bug;
-* the **invalidation registry** — named hooks with event-kind tags.
-  ``invalidate_all(epoch)`` runs *every* hook under one lock (the atomic
-  replacement for the previously independent ``clear_assessment_caches``
-  / ``clear_acquisition_caches`` / credit-cache ``clear`` calls a mutator
-  could invoke partially) and is the one way to drop every columnar
-  store, so the next read rebuilds it cold; ``invalidate_for(kind,
-  epoch)`` runs only the hooks whose registered kinds include the event
-  kind — the precise path ``apply_event`` uses so content-addressed
-  caches survive mutations that cannot stale them;
+  applied mutation event and reset to 0 by ``reset_catalog``.  Derived
+  artifacts (machine columns, ``PolicyGrid``, micro-batches, cached
+  serve responses) carry the epoch they were built under, which is what
+  makes staleness a checkable property instead of a latent bug;
+* the **invalidation count** and **one invalidation rule**: a memo that
+  reads catalog state keys on :func:`invalidation_count`, read at call
+  start — :func:`epoch_memo` is that memo.  :func:`invalidate_all` moves
+  the count (every applied event and every reset does), so every such
+  memo goes cold at once and nothing is cleared in place.  A build that
+  straddles an event is stored under the count it started at and is
+  never served again.  A memo that reads only its own arguments cannot
+  go stale; it takes no part in invalidation and only needs a finite
+  ``maxsize``;
 * the **epoch lock** — a writer-preferring readers-writer lock.
   ``MicroBatcher`` dispatches hold :func:`read_guard` for the duration of
   a batch; ``apply_event`` holds :func:`write_guard` while mutating.  A
@@ -34,42 +32,33 @@ from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from typing import Callable, Iterator
+from functools import lru_cache, wraps
+from typing import Callable, Iterator, TypeVar
 
 __all__ = [
-    "EVENT_KINDS",
     "catalog_epoch_info",
     "current_epoch",
+    "epoch_memo",
     "invalidate_all",
-    "invalidate_for",
     "invalidation_count",
     "read_guard",
-    "register_invalidation_hook",
-    "unregister_invalidation_hook",
     "write_guard",
 ]
 
-#: The mutation event kinds understood by :mod:`repro.catalog.events`.
-EVENT_KINDS: tuple[str, ...] = ("append_machine", "amend_machine", "amend_threshold")
-
 _EPOCH = 0
-_EPOCH_LOCK = threading.Lock()
-
-#: name -> (kinds the hook is stale under, hook callable taking the epoch).
-_HOOKS: dict[str, tuple[frozenset[str], Callable[[int], None]]] = {}
-_HOOKS_LOCK = threading.RLock()
-
 _INVALIDATIONS = 0
+#: Guards both counters.  Re-entrant so an event can move the epoch and
+#: the count as one step: a reader that sees the new epoch then sees the
+#: new count, and a build that starts under the new count reads the new
+#: epoch.
+_LOCK = threading.RLock()
 
-#: Per-hook invocation counts (precise + nuclear paths combined) — lets
-#: tests and benchmarks assert kind-precision: that a hook did *not*
-#: run for an event kind outside its registration.
-_HOOK_RUNS: dict[str, int] = {}
+_F = TypeVar("_F", bound=Callable)
 
 
 def current_epoch() -> int:
     """The global catalog epoch (0 until the first applied event)."""
-    with _EPOCH_LOCK:
+    with _LOCK:
         return _EPOCH
 
 
@@ -77,7 +66,7 @@ def _bump_epoch() -> int:
     """Advance the epoch by one; called by ``apply_event`` under the
     write guard."""
     global _EPOCH
-    with _EPOCH_LOCK:
+    with _LOCK:
         _EPOCH += 1
         return _EPOCH
 
@@ -85,98 +74,57 @@ def _bump_epoch() -> int:
 def _reset_epoch() -> None:
     """Restore epoch 0 (test/reset support; see ``reset_catalog``)."""
     global _EPOCH
-    with _EPOCH_LOCK:
+    with _LOCK:
         _EPOCH = 0
 
 
-def register_invalidation_hook(
-    name: str,
-    hook: Callable[[int], None],
-    *,
-    kinds: tuple[str, ...] = (),
-) -> None:
-    """Register ``hook`` under ``name``.
+def invalidate_all() -> int:
+    """Move the invalidation count; returns the new count.
 
-    ``kinds`` lists the event kinds that make the guarded cache stale;
-    hooks registered with ``kinds=()`` are *content-addressed* (or
-    otherwise self-consistent) — they run only on the nuclear
-    :func:`invalidate_all` path, never on the precise per-event path.
-    Re-registering a name replaces the previous hook (modules register at
-    import time, and ``importlib.reload`` must not accumulate stale
-    callables).
-    """
-    for kind in kinds:
-        if kind not in EVENT_KINDS:
-            raise ValueError(f"unknown event kind {kind!r}; valid: {EVENT_KINDS}")
-    with _HOOKS_LOCK:
-        _HOOKS[name] = (frozenset(kinds), hook)
-
-
-def unregister_invalidation_hook(name: str) -> bool:
-    """Drop a registered hook; returns whether it existed."""
-    with _HOOKS_LOCK:
-        return _HOOKS.pop(name, None) is not None
-
-
-def invalidate_all(epoch: int | None = None) -> tuple[str, ...]:
-    """Run **every** registered hook atomically; returns the names run.
-
-    This is the single entry point that replaces ad-hoc combinations of
-    per-layer ``clear_*`` calls: the registry lock is held for the whole
-    sweep, so no concurrent registration (or second invalidation) can
-    observe a half-cleared world.
+    The one way to make every catalog memo cold: each keys on the
+    count, so the next read misses and rebuilds from the live catalog.
     """
     global _INVALIDATIONS
-    if epoch is None:
-        epoch = current_epoch()
-    with _HOOKS_LOCK:
+    with _LOCK:
         _INVALIDATIONS += 1
-        names = tuple(sorted(_HOOKS))
-        for name in names:
-            _HOOK_RUNS[name] = _HOOK_RUNS.get(name, 0) + 1
-            _HOOKS[name][1](epoch)
-    return names
-
-
-def invalidate_for(kind: str, epoch: int) -> tuple[str, ...]:
-    """Run only the hooks whose registered kinds include ``kind``."""
-    global _INVALIDATIONS
-    if kind not in EVENT_KINDS:
-        raise ValueError(f"unknown event kind {kind!r}; valid: {EVENT_KINDS}")
-    with _HOOKS_LOCK:
-        _INVALIDATIONS += 1
-        names = tuple(
-            name for name in sorted(_HOOKS) if kind in _HOOKS[name][0]
-        )
-        for name in names:
-            _HOOK_RUNS[name] = _HOOK_RUNS.get(name, 0) + 1
-            _HOOKS[name][1](epoch)
-    return names
+        return _INVALIDATIONS
 
 
 def invalidation_count() -> int:
-    """How many invalidation sweeps have run; never reset.
+    """How many times :func:`invalidate_all` has run; never reset.
 
     Every applied event and every catalog reset moves it, so state
     memoized under one count stays current until the count changes.
     """
-    with _HOOKS_LOCK:
-        return _INVALIDATIONS
+    return _INVALIDATIONS
+
+
+def epoch_memo(maxsize: int) -> Callable[[_F], _F]:
+    """An ``lru_cache`` of ``maxsize`` entries over ``(count, *args)``.
+
+    The count is read when the call starts, so a build that an event
+    overtakes is stored under the old count and never served again.
+    The memo keeps ``cache_info``/``cache_clear``, and ``__wrapped__``
+    is the undecorated builder.  A hit costs one extra integer read.
+    """
+    def decorate(builder: _F) -> _F:
+        cached = lru_cache(maxsize=maxsize)(
+            lambda _count, *args, **kwargs: builder(*args, **kwargs))
+
+        @wraps(builder)
+        def memo(*args, **kwargs):
+            return cached(_INVALIDATIONS, *args, **kwargs)
+
+        memo.cache_info = cached.cache_info
+        memo.cache_clear = cached.cache_clear
+        return memo  # type: ignore[return-value]
+
+    return decorate
 
 
 def catalog_epoch_info() -> dict:
-    """Introspection: epoch, registered hooks (with kinds), sweep count,
-    and per-hook invocation counts."""
-    with _HOOKS_LOCK:
-        hooks = {name: tuple(sorted(kinds)) for name, (kinds, _) in sorted(_HOOKS.items())}
-        invalidations = _INVALIDATIONS
-        hook_runs = dict(sorted(_HOOK_RUNS.items()))
-    return {
-        "epoch": current_epoch(),
-        "hooks": hooks,
-        "invalidations": invalidations,
-        "hook_runs": hook_runs,
-    }
+    """Introspection: the epoch and the invalidation count."""
+    return {"epoch": current_epoch(), "invalidations": invalidation_count()}
 
 
 class _EpochLock:

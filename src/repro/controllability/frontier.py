@@ -19,7 +19,6 @@ top-of-line trend, shifted right by the same lag.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from collections.abc import Sequence
 
 import numpy as np
@@ -31,7 +30,7 @@ from repro.controllability.index import (
     DEFAULT_WEIGHTS,
     assess,
 )
-from repro.catalog.registry import register_invalidation_hook
+from repro.catalog.registry import epoch_memo
 from repro.machines import catalog as _catalog
 from repro.machines.catalog import max_config_mtops
 from repro.machines.spec import MachineSpec
@@ -66,7 +65,7 @@ class FrontierPoint:
     machine: MachineSpec | None
 
 
-@lru_cache(maxsize=256)
+@epoch_memo(maxsize=256)
 def _classified_population(
     weights: ControllabilityWeights,
     include_marginal: bool,
@@ -91,8 +90,9 @@ class _FrontierIndex:
     """Precomputed frontier: qualify dates, running-max ratings, and the
     machine that set each plateau.  A frontier query is one bisect.
 
-    Machine events drop every index; the next query rebuilds it from the
-    live catalog (one classification pass and one accumulate).
+    The memo keys on the invalidation count, so the first query after
+    any catalog event rebuilds it from the live catalog (one
+    classification pass and one accumulate).
     """
 
     qualify_years: np.ndarray       # sorted: machine year + lag
@@ -106,14 +106,7 @@ def clear_frontier_indexes() -> None:
     _classified_population.cache_clear()
 
 
-# Machine events drop every memoized index; each rebuilds lazily on its
-# next query.
-register_invalidation_hook(
-    "controllability.frontier", lambda epoch: clear_frontier_indexes(),
-    kinds=("append_machine", "amend_machine"))
-
-
-@lru_cache(maxsize=256)
+@epoch_memo(maxsize=256)
 def _frontier_index(
     weights: ControllabilityWeights,
     lag_years: float,

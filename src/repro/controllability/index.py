@@ -99,7 +99,7 @@ class ControllabilityAssessment:
         return self.classification is Classification.UNCONTROLLABLE
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def cached_scores(machine: MachineSpec) -> FactorScores:
     """Memoized factor scores of one (frozen, hashable) machine spec.
 
@@ -185,7 +185,7 @@ def assess(
     Memoized: both arguments are frozen/hashable dataclasses and the
     assessment is pure, so the market scans and policy grids that ask
     about the same machine thousands of times share one evaluation.
-    ``clear_assessment_caches`` is the eviction hook.
+    Bounded, and dropped by ``clear_assessment_caches``.
     """
     scores = cached_scores(machine)
     index = (
@@ -209,29 +209,12 @@ def assess(
 def clear_assessment_caches() -> None:
     """Drop memoized assessments and factor scores (tests and ablation
     hygiene — the assessment-side analogue of
-    :func:`repro.ctp.batch.clear_credit_cache`).  Downstream caches built
-    *from* assessments (the frontier index, the machine columns) hold
-    values, not references, so clearing here cannot leave them stale —
-    but tests that re-score a mutated catalog should clear those too.
+    :func:`repro.ctp.batch.clear_credit_cache`).  Both memos key on the
+    frozen spec alone, so no catalog event can stale them; they are
+    bounded instead.
     """
     assess.cache_clear()
     cached_scores.cache_clear()
-
-
-# Assessments are keyed by the frozen spec, so an amended machine can
-# never *stale* them — but the replaced spec's entries are dead weight,
-# and the churn path drops them eagerly.  Appends leave every entry valid.
-def _register_assessment_hook() -> None:
-    from repro.catalog.registry import register_invalidation_hook
-
-    register_invalidation_hook(
-        "controllability.assessments",
-        lambda epoch: clear_assessment_caches(),
-        kinds=("amend_machine",),
-    )
-
-
-_register_assessment_hook()
 
 
 #: The systems Chapter 3's Table 4 discusses, by catalog key.

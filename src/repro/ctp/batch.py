@@ -221,20 +221,6 @@ def clear_credit_cache() -> None:
         reset_counters("credit_cache.")
 
 
-# Credit rows are keyed by (coupling, params, clip) — pure CTP-metric
-# content, independent of the machine catalog and threshold history — so
-# no event kind can stale them.  kinds=() registers the clear on the
-# atomic invalidate_all path only.
-def _register_credit_hook() -> None:
-    from repro.catalog.registry import register_invalidation_hook
-
-    register_invalidation_hook(
-        "ctp.credit_cache", lambda epoch: clear_credit_cache())
-
-
-_register_credit_hook()
-
-
 def aggregate_homogeneous_batch(
     tps: Sequence[float] | np.ndarray,
     ns: Sequence[int] | np.ndarray,

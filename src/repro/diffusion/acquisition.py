@@ -20,11 +20,11 @@ quote expected delay and interdiction rates under different thresholds.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from repro._util import check_positive, check_year
+from repro.catalog.registry import epoch_memo
 from repro.obs.errors import ValidationError
 from repro.obs.trace import counter_inc, trace
 from repro.controllability.index import assess
@@ -66,14 +66,14 @@ class AcquisitionAttempt:
         return self.machine is not None
 
 
-@lru_cache(maxsize=512)
+@epoch_memo(maxsize=512)
 def _market_at(year: float, lag_years: float = 0.0) -> tuple[MachineSpec, ...]:
     """Catalog systems on the market at ``year`` (memoized per date).
 
     Policy grids and Monte-Carlo sweeps ask for the same few dates
     thousands of times; the scan is pure, so one pass per distinct
-    ``(year, lag)`` serves them all.  ``clear_acquisition_caches`` is the
-    eviction hook.
+    ``(year, lag)`` serves them all, until the next catalog event moves
+    the invalidation count.
     """
     return tuple(m for m in _catalog.COMMERCIAL_SYSTEMS
                  if m.year + lag_years <= year)
@@ -349,18 +349,3 @@ def clear_acquisition_caches() -> None:
     acquisition-side analogue of
     :func:`repro.ctp.batch.clear_credit_cache`)."""
     _market_at.cache_clear()
-
-
-# Market scans are keyed by year and enumerate the catalog, so any
-# machine append/amend stales them; threshold amendments cannot.
-def _register_acquisition_hook() -> None:
-    from repro.catalog.registry import register_invalidation_hook
-
-    register_invalidation_hook(
-        "diffusion.acquisition.market",
-        lambda epoch: clear_acquisition_caches(),
-        kinds=("append_machine", "amend_machine"),
-    )
-
-
-_register_acquisition_hook()

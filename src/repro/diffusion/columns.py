@@ -34,6 +34,7 @@ __all__ = [
     "clear_requirement_matrices",
 ]
 
+
 @lru_cache(maxsize=1)
 def application_columns() -> tuple[
     tuple[ApplicationRequirement, ...], np.ndarray, np.ndarray
@@ -91,18 +92,3 @@ def clear_requirement_matrices() -> None:
     """Drop memoized requirement state (tests and ablation hygiene)."""
     requirement_matrix.cache_clear()
     application_columns.cache_clear()
-
-
-# Requirement matrices derive from APPLICATIONS drift alone — no machine
-# or threshold content — so catalog events never stale them and the
-# precise per-event path must NOT purge them (kinds=()); only the atomic
-# invalidate_all sweep clears here.
-def _register_requirement_hook() -> None:
-    from repro.catalog.registry import register_invalidation_hook
-
-    register_invalidation_hook(
-        "diffusion.columns.requirements",
-        lambda epoch: clear_requirement_matrices())
-
-
-_register_requirement_hook()

@@ -445,17 +445,13 @@ def find_machine(key: str) -> MachineSpec:
     )
 
 
-# Derived lookups: the key dicts and the year-sorted index.  The catalog is
-# immutable between mutation events (repro.catalog.events), so the sort, the
-# year array, and the running maximum of ratings are computed once per
-# catalog by _install_catalog — at import, after every machine event, and on
-# reset (52 machines: one sort and one accumulate).  Every query below is a
-# bisect against these arrays instead of a fresh scan/sort of the catalog.
-
-
-@lru_cache(maxsize=None)
-def _by_architecture(arch: Architecture) -> tuple[MachineSpec, ...]:
-    return tuple(m for m in _SORTED_BY_YEAR if m.architecture is arch)
+# Derived lookups: the key dicts, the per-architecture tuples and the
+# year-sorted index.  The catalog is immutable between mutation events
+# (repro.catalog.events), so the sort, the year array, and the running
+# maximum of ratings are computed once per catalog by _install_catalog — at
+# import, after every machine event, and on reset (52 machines: one sort and
+# one accumulate).  Every query below is a bisect against these arrays
+# instead of a fresh scan/sort of the catalog.
 
 
 def _install_catalog(systems: tuple[MachineSpec, ...]) -> None:
@@ -464,6 +460,7 @@ def _install_catalog(systems: tuple[MachineSpec, ...]) -> None:
     refreshed."""
     global COMMERCIAL_SYSTEMS, _BY_KEY, _BY_NORMALIZED_KEY
     global _SORTED_BY_YEAR, _SORTED_YEARS, _RUNNING_MAX_MTOPS
+    global _BY_ARCHITECTURE
     import sys
 
     COMMERCIAL_SYSTEMS = systems
@@ -475,7 +472,9 @@ def _install_catalog(systems: tuple[MachineSpec, ...]) -> None:
         np.array([m.ctp_mtops for m in _SORTED_BY_YEAR]))
     _SORTED_YEARS.setflags(write=False)
     _RUNNING_MAX_MTOPS.setflags(write=False)
-    _by_architecture.cache_clear()
+    _BY_ARCHITECTURE = {
+        arch: tuple(m for m in _SORTED_BY_YEAR if m.architecture is arch)
+        for arch in Architecture}
     for name in ("repro", "repro.machines"):
         module = sys.modules.get(name)
         if module is not None and hasattr(module, "COMMERCIAL_SYSTEMS"):
@@ -502,10 +501,10 @@ def commercial_by_year(through: float | None = None) -> list[MachineSpec]:
 
 def commercial_by_architecture(arch: Architecture) -> list[MachineSpec]:
     """Catalog entries of one architecture class, by year."""
-    return list(_by_architecture(arch))
+    return list(_BY_ARCHITECTURE[arch])
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def max_config_mtops(machine: MachineSpec) -> float:
     """Memoized CTP of a machine family's maximum configuration.
 
@@ -622,19 +621,3 @@ def restore_baseline_catalog() -> None:
     """Reinstate the import-time machine set (used by
     ``repro.catalog.events.reset_catalog``)."""
     _install_catalog(_BASELINE_SYSTEMS)
-
-
-def _register_catalog_hooks() -> None:
-    from repro.catalog.registry import register_invalidation_hook
-
-    register_invalidation_hook(
-        "machines.catalog.architecture_index",
-        lambda epoch: _by_architecture.cache_clear(),
-    )
-    register_invalidation_hook(
-        "machines.catalog.max_config_mtops",
-        lambda epoch: max_config_mtops.cache_clear(),
-    )
-
-
-_register_catalog_hooks()

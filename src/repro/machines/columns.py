@@ -12,21 +12,21 @@ arrays.
 
 One ``assess()`` per machine, ever: the controllability columns are
 filled from the memoized assessment path, and the whole column set is
-itself built lazily once per catalog state — machine events drop it and
-the next read rebuilds it (``columns.machine_builds`` counts builds;
-``columns.machine_hits`` counts reuse).
+itself built lazily once per catalog state — it keys on the
+invalidation count, so the first read after any catalog event rebuilds
+it (``columns.machine_builds`` counts builds; the memo's
+``cache_info().hits`` counts reuse).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from types import MappingProxyType
 from typing import Mapping
 
 import numpy as np
 
-from repro.catalog.registry import current_epoch, register_invalidation_hook
+from repro.catalog.registry import current_epoch, epoch_memo
 from repro.machines import catalog as _catalog
 from repro.machines.catalog import max_config_mtops
 from repro.machines.spec import MachineSpec
@@ -35,7 +35,6 @@ from repro.obs.trace import counter_inc, trace
 __all__ = [
     "MachineColumns",
     "machine_columns",
-    "clear_machine_columns",
     "machine_columns_info",
 ]
 
@@ -88,11 +87,12 @@ def _frozen(values: object, dtype: object = float) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=1)
+@epoch_memo(maxsize=1)
 def _build_columns() -> MachineColumns:
     from repro.controllability.index import _CLASS_CODES, assess
 
     counter_inc("columns.machine_builds")
+    epoch = current_epoch()
     with trace("columns.machine_build") as span:
         machines = tuple(_catalog.COMMERCIAL_SYSTEMS)
         assessments = [assess(m) for m in machines]
@@ -120,36 +120,22 @@ def _build_columns() -> MachineColumns:
             uncontrollable=_frozen([c == 0 for c in codes], dtype=bool),
             index_by_key=MappingProxyType(
                 {m.key: i for i, m in enumerate(machines)}),
-            epoch=current_epoch(),
+            epoch=epoch,
         )
 
 
 def machine_columns() -> MachineColumns:
     """The columnar catalog, built lazily (one build per catalog state)."""
-    if _build_columns.cache_info().currsize:
-        counter_inc("columns.machine_hits")
     return _build_columns()
-
-
-def clear_machine_columns() -> None:
-    """Drop the cached column set (tests and ablation hygiene)."""
-    _build_columns.cache_clear()
-
-
-# Machine events drop the column set; the next read rebuilds it from the
-# live catalog.
-register_invalidation_hook(
-    "machines.columns", lambda epoch: clear_machine_columns(),
-    kinds=("append_machine", "amend_machine"))
 
 
 def machine_columns_info() -> dict[str, int]:
     """Introspection for :func:`repro.obs.metrics_snapshot`."""
     from repro.obs.trace import counters
 
-    stats = counters()
+    info = _build_columns.cache_info()
     return {
-        "cached": int(_build_columns.cache_info().currsize),
-        "builds": int(stats.get("columns.machine_builds", 0)),
-        "hits": int(stats.get("columns.machine_hits", 0)),
+        "cached": int(info.currsize),
+        "builds": int(counters().get("columns.machine_builds", 0)),
+        "hits": int(info.hits),
     }

@@ -10,11 +10,10 @@ should sit *above* a hump of installations (big decontrol benefit) and
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
 from repro._util import check_positive, check_year
+from repro.catalog.registry import epoch_memo
 from repro.machines import catalog as _catalog
 from repro.obs.trace import counter_inc
 
@@ -83,7 +82,7 @@ def installed_distribution(
     return edges, counts
 
 
-@lru_cache(maxsize=512)
+@epoch_memo(maxsize=512)
 def _suffix_index(year: float) -> tuple[np.ndarray, np.ndarray]:
     """``(centers, suffix)`` for the default-bin distribution at ``year``.
 
@@ -134,22 +133,6 @@ def installed_units_above_batch(
 def clear_installed_index() -> None:
     """Drop cached per-year suffix tables (tests and ablation hygiene)."""
     _suffix_index.cache_clear()
-
-
-# Suffix tables are keyed by year and aggregate the whole catalog's
-# installed bases, so machine events stale them; threshold amendments
-# cannot (thresholds are query inputs here, not table contents).
-def _register_installed_hook() -> None:
-    from repro.catalog.registry import register_invalidation_hook
-
-    register_invalidation_hook(
-        "market.installed.suffix",
-        lambda epoch: clear_installed_index(),
-        kinds=("append_machine", "amend_machine"),
-    )
-
-
-_register_installed_hook()
 
 
 def market_value_between(

@@ -28,16 +28,16 @@ guard (writers queue behind it — an ``amend_threshold`` mid-build cannot
 produce a mixed-epoch tensor), the build epoch is recorded on the
 :class:`ScenarioGrid`, and every read accessor re-checks it, raising
 :class:`~repro.obs.errors.ScenarioEpochError` across an epoch change.
-The world-tensor cache and scenario drift matrices are registered in the
-invalidation registry under the ``"scenarios"`` hook (stale under every
-event kind), so ``reset_catalog()``'s invalidate-all sweep and the
-precise per-event path both clear them.
+The world-tensor memo keys on the invalidation count, so every catalog
+event and every ``reset_catalog()`` makes it cold; the scenario drift
+matrices depend only on their arguments and are just bounded.
 """
 
 from __future__ import annotations
 
 from contextlib import nullcontext
 from dataclasses import dataclass, field
+from functools import lru_cache
 from collections.abc import Sequence
 
 import numpy as np
@@ -47,12 +47,7 @@ from repro.apps.requirements import (
     DRIFT_RATE_PER_YEAR,
     ApplicationRequirement,
 )
-from repro.catalog.registry import (
-    EVENT_KINDS,
-    current_epoch,
-    read_guard,
-    register_invalidation_hook,
-)
+from repro.catalog.registry import current_epoch, epoch_memo, read_guard
 from repro.controllability.frontier import frontier_series
 from repro.diffusion.columns import application_columns, requirement_matrix
 from repro.diffusion.policy import PolicyEffectiveness
@@ -74,32 +69,13 @@ __all__ = [
     "clear_scenario_caches",
 ]
 
-#: Memoized scenario-drift requirement matrices, keyed
-#: ``(rate, floor, years)`` — the scenario-layer sibling of
-#: ``requirement_matrix``'s lru_cache.
-_DRIFT_MATRICES: dict[tuple[float, float, tuple[float, ...]], np.ndarray] = {}
-
-#: Completed world tensors, keyed
-#: ``(epoch, scenarios, thresholds, years)``.  Bounded FIFO: repeated
-#: serve batches over the same axes hit; catalog events purge the lot.
-_GRID_CACHE: dict[tuple, "ScenarioGrid"] = {}
-_GRID_CACHE_MAX = 32
-
-
 def clear_scenario_caches() -> None:
     """Drop every cached world tensor and scenario drift matrix."""
-    _DRIFT_MATRICES.clear()
-    _GRID_CACHE.clear()
+    _scenario_requirements.cache_clear()
+    _scenario_grid.cache_clear()
 
 
-# Any catalog mutation stales a world tensor: machines feed the frontier
-# and uncontrollable counts, thresholds feed the historical in-force
-# series — so the hook is stale under every event kind, and also runs on
-# the invalidate_all sweep reset_catalog() performs.
-register_invalidation_hook(
-    "scenarios", lambda epoch: clear_scenario_caches(), kinds=EVENT_KINDS)
-
-
+@lru_cache(maxsize=64)
 def _scenario_requirements(
     rate: float, floor: float, years_key: tuple[float, ...]
 ) -> np.ndarray:
@@ -111,11 +87,9 @@ def _scenario_requirements(
     Python-scalar ``pow`` per distinct elapsed, never a vectorized
     ``**`` — so the historical parameters reproduce the historical
     matrix bit for bit (asserted in tests, relied on nowhere).
+    Memoized per ``(rate, floor, years)``: a request can name any drift
+    rate, so the memo is bounded like ``requirement_matrix``'s.
     """
-    key = (rate, floor, years_key)
-    cached = _DRIFT_MATRICES.get(key)
-    if cached is not None:
-        return cached
     counter_inc("scenarios.requirement_builds")
     apps, base, firsts = application_columns()
     decay = 1.0 - rate
@@ -129,7 +103,6 @@ def _scenario_requirements(
                 factor = factors[elapsed] = max(decay ** elapsed, floor)
             out[a, y] = base[a] * factor
     out.setflags(write=False)
-    _DRIFT_MATRICES[key] = out
     return out
 
 
@@ -414,50 +387,49 @@ def evaluate_scenario_grid(
 
     guard = nullcontext() if _caller_holds_guard else read_guard()
     with guard:
-        epoch = current_epoch()
-        cache_key = (epoch, scenarios, thresholds_key, years_key)
-        cached = _GRID_CACHE.get(cache_key)
-        if cached is not None:
-            counter_inc("scenarios.grid_hits")
-            return cached
-        counter_inc("scenarios.grid_builds")
-        counter_inc("scenarios.grid_points",
-                    len(scenarios) * t.size * y.size)
-        with trace("scenarios.grid") as span:
-            if span is not None:
-                span.tags["worlds"] = len(scenarios)
-                span.tags["thresholds"] = int(t.size)
-                span.tags["years"] = int(y.size)
-            (frontier, requirements, protected, illusory, burden,
-             uncontrollable) = _world_slab(scenarios, thresholds_key,
-                                           years_key)
-            in_force = np.stack([
-                np.asarray(s.threshold_in_force_series(y))
-                for s in scenarios
-            ])
-            credible = t[None, :, None] >= frontier[:, None, :]
-            in_force_credible = ((in_force >= frontier)
-                                 & (in_force > 0.0))
-            for arr in (t, y, frontier, requirements, protected, illusory,
-                        burden, uncontrollable, credible, in_force,
-                        in_force_credible):
-                arr.setflags(write=False)
-            grid = ScenarioGrid(
-                scenarios=scenarios,
-                thresholds=t,
-                years=y,
-                frontier_mtops=frontier,
-                requirements=requirements,
-                protected_counts=protected,
-                illusory_counts=illusory,
-                burden_units=burden,
-                uncontrollable_counts=uncontrollable,
-                credible=credible,
-                in_force_mtops=in_force,
-                in_force_credible=in_force_credible,
-                epoch=epoch,
-            )
-            while len(_GRID_CACHE) >= _GRID_CACHE_MAX:
-                _GRID_CACHE.pop(next(iter(_GRID_CACHE)))
-            _GRID_CACHE[cache_key] = grid
-            return grid
+        return _scenario_grid(scenarios, thresholds_key, years_key)
+
+
+@epoch_memo(maxsize=32)
+def _scenario_grid(
+    scenarios: tuple[Scenario, ...],
+    thresholds_key: tuple[float, ...],
+    years_key: tuple[float, ...],
+) -> ScenarioGrid:
+    """The tensor over validated axes, built under the caller's read
+    guard; repeated serve batches over the same axes hit the memo."""
+    t = np.array(thresholds_key, dtype=float)
+    y = np.array(years_key, dtype=float)
+    counter_inc("scenarios.grid_builds")
+    counter_inc("scenarios.grid_points", len(scenarios) * t.size * y.size)
+    with trace("scenarios.grid") as span:
+        if span is not None:
+            span.tags["worlds"] = len(scenarios)
+            span.tags["thresholds"] = int(t.size)
+            span.tags["years"] = int(y.size)
+        (frontier, requirements, protected, illusory, burden,
+         uncontrollable) = _world_slab(scenarios, thresholds_key, years_key)
+        in_force = np.stack([
+            np.asarray(s.threshold_in_force_series(y)) for s in scenarios
+        ])
+        credible = t[None, :, None] >= frontier[:, None, :]
+        in_force_credible = (in_force >= frontier) & (in_force > 0.0)
+        for arr in (t, y, frontier, requirements, protected, illusory,
+                    burden, uncontrollable, credible, in_force,
+                    in_force_credible):
+            arr.setflags(write=False)
+        return ScenarioGrid(
+            scenarios=scenarios,
+            thresholds=t,
+            years=y,
+            frontier_mtops=frontier,
+            requirements=requirements,
+            protected_counts=protected,
+            illusory_counts=illusory,
+            burden_units=burden,
+            uncontrollable_counts=uncontrollable,
+            credible=credible,
+            in_force_mtops=in_force,
+            in_force_credible=in_force_credible,
+            epoch=current_epoch(),
+        )

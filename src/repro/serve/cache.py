@@ -13,9 +13,10 @@ payloads exercise the batching path instead of the cache.
 
 Canonical keys are prefixed with the **catalog epoch** in force when the
 request was admitted (see ``ServiceEngine.handle``): a mutation event
-bumps the epoch, so post-event requests key past every pre-event entry,
-and :meth:`LRUCache.purge_below_epoch` reclaims the dead generation
-eagerly — the invalidation hook this cache historically lacked.
+bumps the epoch, so post-event requests key past every pre-event entry.
+The cache also follows the catalog's one invalidation rule: its first
+read or write after :func:`repro.catalog.registry.invalidation_count`
+moves drops every older entry and counts it as a purge.
 
 Hits, misses, evictions, and purges are tracked both locally (exact,
 reported by :meth:`LRUCache.info`) and through the global
@@ -29,6 +30,7 @@ import threading
 from collections import OrderedDict
 from collections.abc import Hashable
 
+from repro.catalog.registry import invalidation_count
 from repro.obs.errors import ValidationError
 from repro.obs.trace import counter_inc
 
@@ -54,10 +56,24 @@ class LRUCache:
         self._misses = 0
         self._evictions = 0
         self._purges = 0
+        self._count = invalidation_count()
+
+    def _drop_older(self) -> None:
+        """Drop every entry once the invalidation count has moved since
+        the last call (held under the lock)."""
+        count = invalidation_count()
+        if count != self._count:
+            self._count = count
+            purged = len(self._data)
+            self._data.clear()
+            self._purges += purged
+            if purged:
+                counter_inc("serve.cache.purges", purged)
 
     def get(self, key: Hashable) -> object:
         """The cached value for ``key``, or :data:`MISS`."""
         with self._lock:
+            self._drop_older()
             value = self._data.get(key, MISS) if self.capacity else MISS
             if value is MISS:
                 self._misses += 1
@@ -74,6 +90,7 @@ class LRUCache:
         if self.capacity == 0:
             return
         with self._lock:
+            self._drop_older()
             self._data[key] = value
             self._data.move_to_end(key)
             while len(self._data) > self.capacity:
@@ -86,32 +103,15 @@ class LRUCache:
         with self._lock:
             self._data.clear()
 
-    def purge_below_epoch(self, epoch: int) -> int:
-        """Drop every entry whose canonical key was minted before
-        ``epoch`` (keys are ``(epoch, *request_key)`` tuples); returns
-        the number purged.  Non-epoch-prefixed keys are treated as
-        epoch 0 — stale by construction once any event has applied."""
-        purged = 0
-        with self._lock:
-            for key in list(self._data):
-                key_epoch = key[0] if (
-                    isinstance(key, tuple) and key
-                    and isinstance(key[0], int)) else 0
-                if key_epoch < epoch:
-                    del self._data[key]
-                    purged += 1
-            self._purges += purged
-        if purged:
-            counter_inc("serve.cache.purges", purged)
-        return purged
-
     def __len__(self) -> int:
         with self._lock:
+            self._drop_older()
             return len(self._data)
 
     def info(self) -> dict:
         """Exact local statistics (consistent snapshot)."""
         with self._lock:
+            self._drop_older()
             hits, misses = self._hits, self._misses
             total = hits + misses
             return {

@@ -65,11 +65,7 @@ from repro.obs.errors import (
     ServiceOverloadedError,
     ValidationError,
 )
-from repro.catalog.registry import (
-    current_epoch,
-    register_invalidation_hook,
-    unregister_invalidation_hook,
-)
+from repro.catalog.registry import current_epoch
 from repro.obs.trace import counter_inc, trace
 from repro.serve.batching import MicroBatcher
 from repro.serve.cache import MISS, LRUCache
@@ -224,15 +220,6 @@ class ServiceEngine:
         }
         self._started_at = time.monotonic()
         self._closed = False
-        # Catalog mutations purge this engine's response cache through
-        # the invalidation registry: the epoch-prefixed keys already
-        # prevent stale *hits*, the purge reclaims the dead entries.
-        self._purge_hook = f"serve.cache.engine.{id(self)}"
-        register_invalidation_hook(
-            self._purge_hook,
-            lambda epoch: self.cache.purge_below_epoch(epoch),
-            kinds=("append_machine", "amend_machine", "amend_threshold"),
-        )
 
     def close(self, drain_timeout: float | None = None) -> None:
         """Stop the batch workers, draining queued work first (idempotent).
@@ -245,7 +232,6 @@ class ServiceEngine:
         if self._closed:
             return
         self._closed = True
-        unregister_invalidation_hook(self._purge_hook)
         if drain_timeout is None:
             drain_timeout = self.config.drain_timeout
         for batcher in self.batchers.values():
@@ -471,9 +457,9 @@ class ServiceEngine:
 
         Never cached and never batched: ``apply_event`` serializes under
         the catalog write guard, drains in-flight batches, installs the
-        new catalog, and bumps the epoch (which drops the derived stores
-        and purges this engine's response cache through the invalidation
-        registry).
+        new catalog, bumps the epoch and moves the invalidation count
+        (which makes every catalog memo cold; this engine's response
+        cache drops its older entries on its next read or write).
         Replaying an already-applied event is an explicit no-op
         (``applied: false``), so a client may POST the same event to
         every worker of a pre-fork fleet to converge all processes.

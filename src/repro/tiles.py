@@ -12,8 +12,9 @@ cells a call builds stay linear in its point count.
 
 Those earlier answers sit in one bounded memo that is emptied whenever
 :func:`repro.catalog.registry.invalidation_count` moves (every applied
-event and every catalog reset moves it), so it needs no hook of its
-own.  It is what keeps a working set larger than the response cache
+event and every catalog reset moves it) — the catalog's one
+invalidation rule, kept by hand here because one call looks up many
+keys at once.  It is what keeps a working set larger than the response cache
 (:mod:`repro.serve.cache`) from rebuilding grids on every batch.  Its
 hits, misses and grid builds are the ``tiles.memo_hits``,
 ``tiles.memo_misses`` and ``tiles.grid_builds`` counters.

@@ -19,6 +19,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import sys
 import threading
 import time
 
@@ -46,22 +47,33 @@ from repro.catalog.events import (
 from repro.catalog.registry import (
     current_epoch,
     invalidate_all,
-    invalidate_for,
-    register_invalidation_hook,
-    unregister_invalidation_hook,
+    invalidation_count,
 )
+from repro.controllability import frontier as frontier_module
+from repro.controllability import index as index_module
 from repro.controllability.frontier import (
     UNCONTROLLABILITY_LAG_YEARS,
     _classified_population,
     _frontier_index,
     lower_bound_uncontrollable,
 )
-from repro.controllability.index import DEFAULT_WEIGHTS, assess
+from repro.controllability.index import DEFAULT_WEIGHTS, assess, cached_scores
 from repro.diffusion import policy
+from repro.diffusion.acquisition import _market_at
+from repro.diffusion.columns import application_columns, requirement_matrix
 from repro.diffusion.policy import threshold_at
-from repro.machines.catalog import COMMERCIAL_SYSTEMS, find_machine
+from repro.machines import catalog as machine_catalog
+from repro.machines.catalog import (
+    COMMERCIAL_SYSTEMS,
+    find_machine,
+    max_config_mtops,
+)
 from repro.machines.columns import _build_columns, machine_columns
+from repro.market.installed import _suffix_index
 from repro.obs.errors import CatalogLookupError, ValidationError
+from repro.obs.trace import counters
+from repro.scenarios import HISTORICAL
+from repro.scenarios.grid import _scenario_grid, _scenario_requirements
 from repro.serve.cache import MISS, LRUCache
 from repro.serve.rpc import rpc_response
 from repro.serve.server import ServeConfig, ServiceEngine
@@ -377,39 +389,151 @@ class TestThresholdEraBoundaries:
                                        threshold_mtops=100.0))
 
 
+#: Every memo that reads catalog state, with arguments that warm it.
+_EPOCH_MEMOS = (
+    (_build_columns, ()),
+    (_classified_population, (DEFAULT_WEIGHTS, False)),
+    (_frontier_index, (DEFAULT_WEIGHTS, UNCONTROLLABILITY_LAG_YEARS)),
+    (_suffix_index, (1995.5,)),
+    (_market_at, (1995.5,)),
+    (_scenario_grid, ((HISTORICAL,), (2000.0,), (1995.5,))),
+)
+
+
+def _misses() -> list[int]:
+    return [memo.cache_info().misses for memo, _ in _EPOCH_MEMOS]
+
+
 class TestInvalidationRegistry:
     def test_invalidate_all_runs_every_hook(self):
-        ran = invalidate_all()
-        assert "machines.columns" in ran
-        assert "controllability.frontier" in ran
-        assert "diffusion.columns.requirements" in ran
+        """After ``invalidate_all()`` every catalog memo misses exactly
+        once, then hits again."""
+        for memo, args in _EPOCH_MEMOS:
+            memo(*args)
+        warm = _misses()
+        for memo, args in _EPOCH_MEMOS:
+            memo(*args)
+        assert _misses() == warm
+        invalidate_all()
+        for _ in range(2):
+            for memo, args in _EPOCH_MEMOS:
+                memo(*args)
+        assert _misses() == [n + 1 for n in warm]
 
     def test_invalidate_for_is_kind_precise(self):
-        calls: list[tuple[str, int]] = []
-        register_invalidation_hook(
-            "test.machine_kinds",
-            lambda epoch: calls.append(("machine", epoch)),
-            kinds=("append_machine",))
-        register_invalidation_hook(
-            "test.nuclear_only",
-            lambda epoch: calls.append(("nuclear", epoch)))
+        """An applied event moves the invalidation count by exactly 1,
+        whatever its kind; a no-op replay moves it by 0."""
+        machine = dataclasses.replace(_BASELINE[0], vendor="CountCo",
+                                      model="C-1")
+        amended = dataclasses.replace(machine, units_installed=77)
+        events = (
+            AppendMachine(machine=machine),
+            AmendMachine(key=machine.key, machine=amended),
+            AmendThreshold(start_year=1994.1, threshold_mtops=6000.0),
+        )
+        for event in events:
+            before = invalidation_count()
+            assert apply_event(event).applied
+            assert invalidation_count() == before + 1
+            assert not apply_event(event).applied
+            assert invalidation_count() == before + 1
+
+    def test_concurrent_invalidations_lose_no_update(self):
+        before = invalidation_count()
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
         try:
-            ran = invalidate_for("append_machine", 7)
-            assert "test.machine_kinds" in ran
-            assert "test.nuclear_only" not in ran
-            assert ("machine", 7) in calls and ("nuclear", 7) not in calls
-            ran_all = invalidate_all(8)
-            assert {"test.machine_kinds", "test.nuclear_only"} <= set(ran_all)
-            assert ("nuclear", 8) in calls
+            threads = [threading.Thread(
+                target=lambda: [invalidate_all() for _ in range(500)])
+                for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(10.0)
         finally:
-            assert unregister_invalidation_hook("test.machine_kinds")
-            assert unregister_invalidation_hook("test.nuclear_only")
+            sys.setswitchinterval(switch)
+        assert not any(thread.is_alive() for thread in threads)
+        assert invalidation_count() == before + 4 * 500
 
     def test_requirement_matrices_survive_machine_events(self):
-        """APPLICATIONS-derived state is catalog-independent: the
-        precise path must not purge it."""
-        ran = invalidate_for("append_machine", 1)
-        assert "diffusion.columns.requirements" not in ran
+        """APPLICATIONS-derived state is catalog-independent: after an
+        append, the next requirement read builds nothing."""
+        years = (1990.0, 1995.5, 1997.25)
+        requirement_matrix(years)
+        application_columns()
+        names = ("columns.requirement_builds", "columns.application_builds")
+        before = [counters().get(name, 0) for name in names]
+        machine = dataclasses.replace(_BASELINE[0], vendor="ReqCo",
+                                      model="Q-1")
+        assert apply_event(AppendMachine(machine=machine)).applied
+        requirement_matrix(years)
+        application_columns()
+        assert [counters().get(name, 0) for name in names] == before
+
+
+def _overtaken_build(monkeypatch, module, build, machine):
+    """Run ``build`` cold on a thread, apply ``AppendMachine(machine)``
+    while the build is blocked in its first ``module.assess`` call, then
+    let it finish; returns what the overtaken build produced."""
+    real = module.assess
+    entered = threading.Event()
+    release = threading.Event()
+
+    def blocking_assess(*args, **kwargs):
+        if not entered.is_set():
+            entered.set()
+            assert release.wait(10.0)
+        return real(*args, **kwargs)
+
+    invalidate_all()
+    monkeypatch.setattr(module, "assess", blocking_assess)
+    result = {}
+    builder = threading.Thread(target=lambda: result.update(value=build()))
+    builder.start()
+    try:
+        assert entered.wait(10.0)
+        assert apply_event(AppendMachine(machine=machine)).applied
+    finally:
+        release.set()
+        builder.join(10.0)
+    assert not builder.is_alive()
+    return result["value"]
+
+
+class TestBuildStraddlingAnEvent:
+    """A store build that an event overtakes is never served as the
+    current store: it was keyed on the count read when it started."""
+
+    def test_machine_columns_rebuild_after_overtaken_build(self,
+                                                           monkeypatch):
+        machine = dataclasses.replace(_BASELINE[0], vendor="RaceCo",
+                                      model="R-1")
+        overtaken = _overtaken_build(monkeypatch, index_module,
+                                     machine_columns, machine)
+        assert machine.key not in overtaken.index_by_key
+        live = machine_columns()
+        assert live.size == len(machine_catalog.COMMERCIAL_SYSTEMS) \
+            == len(_BASELINE) + 1
+        assert live.index_by_key[machine.key] == len(_BASELINE)
+        assert live.epoch == current_epoch() == 1
+
+    def test_frontier_index_rebuild_after_overtaken_build(self,
+                                                          monkeypatch):
+        lag = UNCONTROLLABILITY_LAG_YEARS
+        incumbent = _frontier_index(DEFAULT_WEIGHTS, lag).leaders[-1]
+        champ = dataclasses.replace(
+            incumbent, vendor="ZZRace", model="Champ-1",
+            quoted_ctp_mtops=max_config_mtops(incumbent) * 2,
+            quoted_peak_mflops=None)
+        overtaken = _overtaken_build(
+            monkeypatch, frontier_module,
+            lambda: _frontier_index(DEFAULT_WEIGHTS, lag), champ)
+        assert champ not in overtaken.leaders
+        live = _frontier_index(DEFAULT_WEIGHTS, lag)
+        fresh = _frontier_index.__wrapped__(DEFAULT_WEIGHTS, lag)
+        assert live.leaders == fresh.leaders
+        assert live.leaders[-1].key == champ.key
+        assert _same_bytes(live.running_max, fresh.running_max)
 
 
 class TestEpochGuardInterleaving:
@@ -510,26 +634,69 @@ class TestServeEpochConsistency:
             engine.close()
 
 
+class TestMemoBounds:
+    """A memo keyed on request- or event-supplied values needs no
+    invalidation, only a finite ``maxsize``."""
+
+    def test_spec_memos_stay_bounded_under_amend_churn(self):
+        memos = (max_config_mtops, cached_scores, assess,
+                 _scenario_requirements)
+        for memo in memos:
+            assert memo.cache_info().maxsize is not None, memo.__name__
+        key = _BASELINE[0].key
+        for units in range(200):
+            machine = dataclasses.replace(find_machine(key),
+                                          units_installed=1000 + units)
+            assert apply_event(AmendMachine(key=key,
+                                            machine=machine)).applied
+            machine_columns()
+        for memo in memos:
+            info = memo.cache_info()
+            assert info.currsize <= info.maxsize, memo.__name__
+
+    def test_scenario_drift_memo_stays_bounded(self):
+        n = 4 * _scenario_requirements.cache_info().maxsize
+        engine = ServiceEngine(ServeConfig(cache_size=64))
+        try:
+            for i in range(n):
+                status, body = engine.handle("scenario", {
+                    "scenario": {"name": f"drift-{i}",
+                                 "drift_rate": 0.1 + i * 1e-4},
+                    "year": 1995.5})
+                assert status == 200, body
+        finally:
+            engine.close()
+        info = _scenario_requirements.cache_info()
+        assert info.misses >= n
+        assert info.currsize <= info.maxsize < n
+
+
 class TestLRUCacheEpochPurge:
     def test_purge_below_epoch(self):
+        """The first read after the invalidation count moves drops every
+        older entry and counts each as a purge."""
         cache = LRUCache(8)
         cache.put((0, "a"), {"v": 1})
         cache.put((1, "a"), {"v": 2})
         cache.put((2, "b"), {"v": 3})
-        cache.put("legacy-key", {"v": 4})  # epoch 0 by construction
-        purged = cache.purge_below_epoch(2)
-        assert purged == 3
-        assert cache.get((2, "b")) == {"v": 3}
+        cache.put("legacy-key", {"v": 4})
+        invalidate_all()
+        assert cache.get((2, "b")) is MISS
         assert cache.get((1, "a")) is MISS
-        assert cache.get("legacy-key") is MISS
         info = cache.info()
-        assert info["purges"] == 3 and info["entries"] == 1
+        assert info["purges"] == 4 and info["entries"] == 0
+        cache.put((3, "c"), {"v": 5})
+        assert cache.get((3, "c")) == {"v": 5}
+        assert cache.info()["purges"] == 4
 
     def test_purge_noop_below_or_at_existing_epochs(self):
+        """A no-op event leaves the count, and so every entry, alone."""
         cache = LRUCache(8)
         cache.put((3, "x"), {"v": 1})
-        assert cache.purge_below_epoch(3) == 0
+        assert not apply_event(AmendThreshold(start_year=1994.1,
+                                              threshold_mtops=1500.0)).applied
         assert cache.get((3, "x")) == {"v": 1}
+        assert cache.info()["purges"] == 0
 
 
 class TestSnapshotEpochs:

@@ -21,6 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.catalog.registry import invalidate_all
 from repro.diffusion.acquisition import (
     acquisition_premium,
     acquisition_premium_batch,
@@ -40,11 +41,7 @@ from repro.diffusion.policy_grid import (
     threshold_at_series,
 )
 from repro.machines.catalog import COMMERCIAL_SYSTEMS
-from repro.machines.columns import (
-    clear_machine_columns,
-    machine_columns,
-    machine_columns_info,
-)
+from repro.machines.columns import machine_columns, machine_columns_info
 from repro.market.installed import (
     clear_installed_index,
     installed_units_above,
@@ -261,7 +258,7 @@ class TestMachineColumns:
         hits_before = machine_columns_info()["hits"]
         assert machine_columns() is first  # memoized
         assert machine_columns_info()["hits"] == hits_before + 1
-        clear_machine_columns()
+        invalidate_all()
         rebuilt = machine_columns()
         assert rebuilt is not first
         assert np.array_equal(rebuilt.reachable_mtops, first.reachable_mtops)

@@ -26,7 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.catalog.events import apply_event, parse_event, reset_catalog
-from repro.catalog.registry import catalog_epoch_info, current_epoch
+from repro.catalog.registry import current_epoch
 from repro.diffusion.policy import THRESHOLD_HISTORY, ThresholdEra, \
     evaluate_policy, threshold_at
 from repro.diffusion.policy_grid import evaluate_policy_grid
@@ -35,6 +35,7 @@ from repro.obs.errors import (
     ThresholdInfeasibleError,
     ValidationError,
 )
+from repro.obs.trace import counters
 from repro.scenarios import (
     HISTORICAL,
     PRESETS,
@@ -55,8 +56,8 @@ from repro.serve.server import ServeConfig, ServiceEngine
 
 @pytest.fixture(autouse=True)
 def _restore_catalog():
-    """Every test leaves the baseline catalog, epoch 0, and cold
-    scenario caches."""
+    """Every test leaves the baseline catalog, epoch 0, and a cold
+    scenario-grid memo."""
     yield
     reset_catalog()
 
@@ -430,20 +431,51 @@ class TestEpochDiscipline:
             grid.result_at(0, 0, 0)
 
 
+def _grid_builds() -> int:
+    return counters().get("scenarios.grid_builds", 0)
+
+
 class TestCacheInvalidation:
     def test_scenarios_hook_registered_for_all_event_kinds(self):
-        hooks = catalog_epoch_info()["hooks"]
-        assert hooks["scenarios"] == ("amend_machine", "amend_threshold",
-                                      "append_machine")
+        """Each event kind forces exactly one rebuild of a memoized
+        tensor."""
+        machine = {"vendor": "GridCo", "model": "G-1", "country": "USA",
+                   "year": 1995.5, "architecture": "smp",
+                   "quoted_ctp_mtops": 1800.0}
+        events = (
+            {"event": "append_machine", "machine": machine},
+            {"event": "amend_machine", "key": "GridCo G-1",
+             "machine": {**machine, "units_installed": 999}},
+            {"event": "amend_threshold", "start_year": 1994.1,
+             "threshold_mtops": 2_500.0},
+        )
+        tensor = evaluate_scenario_grid([HISTORICAL], THRESHOLDS, YEARS)
+        for event in events:
+            builds = _grid_builds()
+            assert apply_event(parse_event(event)).applied
+            for _ in range(2):
+                rebuilt = evaluate_scenario_grid([HISTORICAL], THRESHOLDS,
+                                                 YEARS)
+            assert rebuilt is not tensor
+            assert rebuilt.epoch == current_epoch()
+            assert _grid_builds() == builds + 1, event["event"]
+            tensor = rebuilt
 
     def test_reset_catalog_sweeps_scenario_caches(self):
-        evaluate_scenario_grid(
-            [HISTORICAL, sticky_requirements()], THRESHOLDS, YEARS)
-        assert scenario_grid_module._GRID_CACHE
-        assert scenario_grid_module._DRIFT_MATRICES
+        """``reset_catalog()`` makes the tensor memo cold; the drift
+        matrices depend only on their arguments and are kept."""
+        worlds = [HISTORICAL, sticky_requirements()]
+        first = evaluate_scenario_grid(worlds, THRESHOLDS, YEARS)
+        drift = scenario_grid_module._scenario_requirements.cache_info()
+        assert drift.currsize >= 1
+        builds = _grid_builds()
         reset_catalog()
-        assert not scenario_grid_module._GRID_CACHE
-        assert not scenario_grid_module._DRIFT_MATRICES
+        again = evaluate_scenario_grid(worlds, THRESHOLDS, YEARS)
+        assert again is not first and _grid_builds() == builds + 1
+        assert np.array_equal(again.burden_units, first.burden_units)
+        after = scenario_grid_module._scenario_requirements.cache_info()
+        assert after.currsize == drift.currsize
+        assert after.misses == drift.misses
 
     def test_event_purges_cached_tensors(self):
         tensor = evaluate_scenario_grid([HISTORICAL], THRESHOLDS, YEARS)
@@ -452,7 +484,6 @@ class TestCacheInvalidation:
         apply_event(parse_event({"event": "amend_threshold",
                                  "start_year": 1994.1,
                                  "threshold_mtops": 2_500.0}))
-        assert not scenario_grid_module._GRID_CACHE
         rebuilt = evaluate_scenario_grid([HISTORICAL], THRESHOLDS, YEARS)
         assert rebuilt is not tensor
         assert rebuilt.epoch == 1

@@ -10,8 +10,11 @@ promises anchor it:
    the way up through ``evaluate_policy_grid`` and the homogeneous CTP
    batch path.
 2. **One build per state** — a warm repeat ticks no build counter; a
-   catalog event drops exactly the stores it stales, and the next read
-   rebuilds each once.
+   catalog event (or :func:`~repro.catalog.registry.invalidate_all`)
+   makes every catalog store cold, and the next read rebuilds each
+   once.  Stores keyed only on their arguments (application columns,
+   requirement matrices, credit sums) never go stale and are rebuilt
+   only when cleared.
 3. **Read-only** — every store array is frozen, so a caller can never
    corrupt what the next caller reads.
 """
@@ -44,14 +47,19 @@ from repro.controllability.index import DEFAULT_WEIGHTS
 from repro.ctp import Coupling
 from repro.ctp.batch import (
     aggregate_homogeneous_batch,
+    clear_credit_cache,
     credit_cache_info,
     credit_sums,
 )
-from repro.diffusion.columns import application_columns, requirement_matrix
+from repro.diffusion.columns import (
+    application_columns,
+    clear_requirement_matrices,
+    requirement_matrix,
+)
 from repro.diffusion.policy_grid import evaluate_policy_grid
 from repro.machines import catalog as machine_catalog
 from repro.machines.catalog import find_machine
-from repro.machines.columns import machine_columns, machine_columns_info
+from repro.machines.columns import machine_columns
 from repro.market.installed import _suffix_index, installed_units_above_batch
 from repro.obs.errors import ValidationError
 from repro.obs.trace import counters
@@ -70,14 +78,17 @@ MARKET_THRESHOLDS = np.geomspace(10.0, 100_000.0, 50)
 CTP_TPS = np.array([55.0, 110.0, 220.0, 440.0, 880.0])
 CTP_NS = np.array([1, 2, 7, 64, 500])
 
-#: Counters that tick when a columnar store is built (or a credit row
-#: regrown) in process; a warm read leaves every one untouched.
-BUILD_COUNTERS = (
+#: Counters that tick when a catalog store is built in process.
+CATALOG_BUILD_COUNTERS = (
     "columns.machine_builds",
-    "columns.application_builds",
-    "columns.requirement_builds",
     "frontier.index_builds",
     "market.suffix_builds",
+)
+#: Counters that tick when a columnar store is built (or a credit row
+#: regrown) in process; a warm read leaves every one untouched.
+BUILD_COUNTERS = CATALOG_BUILD_COUNTERS + (
+    "columns.application_builds",
+    "columns.requirement_builds",
     "credit_cache.misses",
     "credit_cache.regrows",
 )
@@ -145,17 +156,6 @@ def _store_arrays(stores: dict[str, object]) -> dict[str, np.ndarray]:
     return arrays
 
 
-def _cached_store_sizes() -> dict[str, int]:
-    return {
-        "machines": machine_columns_info()["cached"],
-        "frontier": _frontier_index.cache_info().currsize,
-        "applications": application_columns.cache_info().currsize,
-        "requirements": requirement_matrix.cache_info().currsize,
-        "suffix": _suffix_index.cache_info().currsize,
-        "credit": credit_cache_info()["entries"],
-    }
-
-
 def _repro_cli(*argv: str) -> subprocess.CompletedProcess:
     src = str(Path(repro.__file__).resolve().parent.parent)
     env = {**os.environ,
@@ -166,10 +166,19 @@ def _repro_cli(*argv: str) -> subprocess.CompletedProcess:
                           timeout=60)
 
 
+def _all_cold() -> None:
+    """Make every store cold: catalog stores by moving the invalidation
+    count, argument-keyed stores by clearing them."""
+    invalidate_all()
+    clear_requirement_matrices()
+    clear_credit_cache()
+
+
 @pytest.fixture(autouse=True)
 def _cold_stores():
     """Every test starts cold on the baseline catalog and leaves it so."""
     reset_catalog()
+    _all_cold()
     yield
     reset_catalog()
 
@@ -189,7 +198,7 @@ class TestBuild:
 
     def test_rebuild_is_idempotent(self):
         first = _store_arrays(_every_store())
-        invalidate_all()
+        _all_cold()
         second = _store_arrays(_every_store())
         assert first.keys() == second.keys()
         for name in first:
@@ -216,7 +225,7 @@ class TestRoundTrip:
 
     def test_ctp_homogeneous_batch_bit_identical(self):
         warm = _ctp_batches()
-        invalidate_all()
+        clear_credit_cache()
         assert credit_cache_info()["entries"] == 0
         cold = _ctp_batches()
         for coupling in Coupling:
@@ -256,17 +265,17 @@ class TestRoundTrip:
                 array[...] = 0
 
     def test_active_hash_tracking(self):
+        """``invalidate_all()`` makes every catalog store cold: the next
+        read builds each once and rebuilds no argument-keyed store."""
         _every_store()
-        assert all(size >= 1 for size in _cached_store_sizes().values())
         invalidate_all()
-        sizes = _cached_store_sizes()
-        assert sizes == dict.fromkeys(sizes, 0)
         before = build_counter_totals()
         _every_store()
+        _every_store()
         deltas = _deltas(before)
-        # A cold credit row is one miss, never a regrow.
-        assert deltas.pop("credit_cache.regrows") == 0
-        assert deltas == dict.fromkeys(deltas, 1), deltas
+        catalog = {name: deltas.pop(name) for name in CATALOG_BUILD_COUNTERS}
+        assert catalog == dict.fromkeys(catalog, 1), catalog
+        assert deltas == dict.fromkeys(deltas, 0), deltas
 
 
 class TestStaleness:
@@ -285,18 +294,28 @@ class TestStaleness:
         assert first.epoch == 1
 
     def test_unknown_format_version_raises(self):
+        """A threshold amendment also makes the catalog stores cold: the
+        machine columns and frontier index rebuild once, bit-identically
+        (no machine changed)."""
         columns = machine_columns()
         index = _frontier_index(DEFAULT_WEIGHTS,
                                 UNCONTROLLABILITY_LAG_YEARS)
         before = build_counter_totals()
         assert apply_event(AmendThreshold(start_year=1994.1,
                                           threshold_mtops=5000.0)).applied
-        assert machine_columns() is columns
-        assert _frontier_index(DEFAULT_WEIGHTS,
-                               UNCONTROLLABILITY_LAG_YEARS) is index
+        rebuilt = machine_columns()
+        assert machine_columns() is rebuilt is not columns
+        rebuilt_index = _frontier_index(DEFAULT_WEIGHTS,
+                                        UNCONTROLLABILITY_LAG_YEARS)
         deltas = _deltas(before)
-        assert deltas["columns.machine_builds"] == 0
-        assert deltas["frontier.index_builds"] == 0
+        assert deltas["columns.machine_builds"] == 1
+        assert deltas["frontier.index_builds"] == 1
+        assert rebuilt.epoch == 1
+        for name in COLUMN_ARRAYS:
+            assert _same_bytes(getattr(rebuilt, name),
+                               getattr(columns, name)), name
+        assert _same_bytes(rebuilt_index.running_max, index.running_max)
+        assert rebuilt_index.leaders == index.leaders
 
     def test_missing_array_file_raises(self):
         before = machine_columns()
