@@ -12,7 +12,7 @@ module is the single mutation path for that stream: three event kinds —
 micro-batches) in three steps: install the new catalog or era tuple
 (which rebuilds its own bisect index), bump the global catalog epoch,
 and move the invalidation count.  Every catalog memo keys on that count
-(:func:`repro.catalog.registry.epoch_memo`), so whatever the event kind,
+(:class:`repro.catalog.registry.CountMemo`), so whatever the event kind,
 the machine columns, the frontier indexes and the other catalog stores
 rebuild lazily on their next read, through the same build path as a
 cold start.

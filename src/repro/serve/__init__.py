@@ -10,7 +10,7 @@ package turns many small concurrent requests into few large batch calls:
 * :mod:`repro.serve.batching` — the micro-batching queue: bounded,
   deadline-aware, greedy-coalescing (:class:`MicroBatcher`);
 * :mod:`repro.serve.cache` — the LRU response cache keyed on canonical
-  payloads;
+  payloads under the catalog's invalidation count;
 * :mod:`repro.serve.plan` — the multi-query planner: a heterogeneous
   batch compiled into few fused columnar ops (CSE on canonical keys,
   cross-endpoint reuse, per-slot error isolation) behind ``POST

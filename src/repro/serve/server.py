@@ -65,7 +65,7 @@ from repro.obs.errors import (
     ServiceOverloadedError,
     ValidationError,
 )
-from repro.catalog.registry import current_epoch
+from repro.catalog.registry import current_epoch, invalidation_count
 from repro.obs.trace import counter_inc, trace
 from repro.serve.batching import MicroBatcher
 from repro.serve.cache import MISS, LRUCache
@@ -255,16 +255,15 @@ class ServiceEngine:
                     return 200, self._catalog_append(payload)
                 if endpoint == "batch":
                     return 200, self._batch(payload)
+                # The invalidation count at admission keys both the
+                # lookup and the store: once an event moves it, no
+                # response computed before the event is served.
+                count = invalidation_count()
                 request = parse_request(endpoint, payload)
-                # The canonical key is prefixed with the catalog epoch in
-                # force at admission: a mutation event bumps the epoch, so
-                # responses computed before it can never satisfy requests
-                # arriving after it.
-                key = (current_epoch(), *request.cache_key)
-                body = self.cache.get(key)
+                body = self.cache.get(request.cache_key, count)
                 if body is MISS:
                     body = self._handlers[endpoint](request)
-                    self.cache.put(key, body)
+                    self.cache.put(request.cache_key, body, count)
                 return 200, body
         except ServiceOverloadedError as exc:
             counter_inc("serve.responses.429")
@@ -397,7 +396,7 @@ class ServiceEngine:
                          "valid": f"<= {self.config.queue_limit}"},
             )
         counter_inc("serve.batch.sub_requests", len(items))
-        epoch = current_epoch()
+        count = invalidation_count()
         results: list[dict | None] = [None] * len(items)
         pending: list[tuple[int, tuple, object]] = []
         cache_hits = 0
@@ -422,8 +421,8 @@ class ServiceEngine:
             except ReproError as exc:
                 results[i] = {"status": 400, "body": error_body(exc)}
                 continue
-            key = (epoch, *request.cache_key)
-            body = self.cache.get(key)
+            key = request.cache_key
+            body = self.cache.get(key, count)
             if body is not MISS:
                 cache_hits += 1
                 results[i] = {"status": 200, "body": body}
@@ -439,7 +438,7 @@ class ServiceEngine:
                     status, body = self._sub_response(outcome)
                     results[i] = {"status": status, "body": body}
                 else:
-                    self.cache.put(key, outcome)
+                    self.cache.put(key, outcome, count)
                     results[i] = {"status": 200, "body": outcome}
         summary["cache_hits"] = cache_hits
         return {
@@ -569,10 +568,11 @@ class ServiceEngine:
 
     def metrics(self) -> dict:
         """The global metrics snapshot plus serving-layer state."""
+        from repro import tiles
         from repro.obs.trace import metrics_snapshot
 
         snapshot = metrics_snapshot()
-        counts = snapshot["counters"]
+        memo = tiles.MEMO.info()
         snapshot["serve"] = {
             "uptime_s": round(time.monotonic() - self._started_at, 3),
             "config": asdict(self.config),
@@ -580,9 +580,8 @@ class ServiceEngine:
             # The point memo of repro.tiles, in the plane shape
             # benchmarks/e2e/metrics.py reads (it has no partial builds).
             "tiles": {"memo": {
-                "cache": {"hits": counts.get("tiles.memo_hits", 0),
-                          "misses": counts.get("tiles.memo_misses", 0)},
-                "builds": counts.get("tiles.grid_builds", 0),
+                "cache": {"hits": memo["hits"], "misses": memo["misses"]},
+                "builds": snapshot["counters"].get("tiles.grid_builds", 0),
                 "partial_builds": 0,
             }},
             "catalog_epoch": current_epoch(),

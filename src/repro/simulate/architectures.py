@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from repro._util import check_positive
 from repro.machines.spec import Architecture
 from repro.simulate.interconnect import (
-    ATM_155,
     ETHERNET_10,
     Interconnect,
     PARAGON_MESH,
@@ -232,7 +231,3 @@ def vector_machine(
         interconnect=SMP_BUS,
         shared_memory=True,
     )
-
-
-def _default_dedicated_cluster(n: int) -> MachineModel:  # pragma: no cover
-    return cluster_machine(n, network=ATM_155, dedicated=True)

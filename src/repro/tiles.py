@@ -10,14 +10,13 @@ one grid per world, or one per year instead when the threshold x year
 cross product would be much larger than the points themselves, so the
 cells a call builds stay linear in its point count.
 
-Those earlier answers sit in one bounded memo that is emptied whenever
-:func:`repro.catalog.registry.invalidation_count` moves (every applied
-event and every catalog reset moves it) — the catalog's one
-invalidation rule, kept by hand here because one call looks up many
-keys at once.  It is what keeps a working set larger than the response cache
-(:mod:`repro.serve.cache`) from rebuilding grids on every batch.  Its
-hits, misses and grid builds are the ``tiles.memo_hits``,
-``tiles.memo_misses`` and ``tiles.grid_builds`` counters.
+Those earlier answers sit in one bounded
+:class:`repro.catalog.registry.CountMemo`, :data:`MEMO`, keyed on the
+point under the invalidation count read when the call starts, so every
+applied event and every catalog reset makes it cold.  It is what keeps
+a working set larger than the response cache (:mod:`repro.serve.cache`)
+from rebuilding grids on every batch.  ``/metrics`` reports its hits and
+misses, and the ``tiles.grid_builds`` counter, as ``serve.tiles.memo``.
 
 The planner imports both functions from here at call time, and the
 traced benchmark server wraps them by module attribute, so they keep
@@ -26,13 +25,17 @@ this module's name.
 
 from __future__ import annotations
 
-import threading
 from contextlib import nullcontext
 from dataclasses import dataclass
-from collections.abc import Callable, Hashable, Sequence
+from collections.abc import Callable, Sequence
 
 from repro._util import check_positive, check_year
-from repro.catalog.registry import invalidation_count, read_guard
+from repro.catalog.registry import (
+    MISS,
+    CountMemo,
+    invalidation_count,
+    read_guard,
+)
 from repro.diffusion.policy import PolicyEffectiveness
 from repro.diffusion.policy_grid import evaluate_policy_grid
 from repro.obs.errors import ValidationError
@@ -40,20 +43,16 @@ from repro.obs.trace import counter_inc
 from repro.scenarios.grid import evaluate_scenario_grid
 from repro.scenarios.spec import Scenario
 
-__all__ = ["ScenarioPoint", "policy_cells", "scenario_cells"]
-
-#: Most answers the memo holds, oldest dropped first.  One ``/batch``
-#: carries at most ``queue_limit`` (default 1,024) points, so this keeps
-#: several batches' worth, at well under a kilobyte an answer.
-_MEMO_CAPACITY = 8_192
+__all__ = ["MEMO", "ScenarioPoint", "policy_cells", "scenario_cells"]
 
 #: A grid call's fixed cost in cells of cross-product work: about
 #: 0.1 ms of set-up against 0.3-2 us a cell (2-core x86 host).
 _GRID_CALL_CELLS = 100
 
-_memo: dict[Hashable, object] = {}
-_memo_count = -1
-_memo_lock = threading.Lock()
+#: The point memo: one ``/batch`` carries at most ``queue_limit``
+#: (default 1,024) points, so it keeps several batches' worth, at well
+#: under a kilobyte an answer.
+MEMO = CountMemo(8_192)
 
 
 @dataclass(frozen=True)
@@ -72,24 +71,13 @@ class ScenarioPoint:
 def _memoized(keys: list, compute: Callable[[list], list]) -> list:
     """Answers for ``keys``; ``compute`` gets the distinct keys not
     memoized under the current invalidation count."""
-    global _memo_count
     count = invalidation_count()
-    with _memo_lock:
-        if count != _memo_count:
-            _memo.clear()
-            _memo_count = count
-        found = {key: _memo[key] for key in keys if key in _memo}
-    missing = [key for key in dict.fromkeys(keys) if key not in found]
-    counter_inc("tiles.memo_hits", len(keys) - len(missing))
-    counter_inc("tiles.memo_misses", len(missing))
+    found = {key: MEMO.get(key, count) for key in dict.fromkeys(keys)}
+    missing = [key for key, value in found.items() if value is MISS]
     if missing:
-        answers = compute(missing)
-        found.update(zip(missing, answers))
-        with _memo_lock:
-            if count == _memo_count:
-                _memo.update(zip(missing, answers))
-                while len(_memo) > _MEMO_CAPACITY:
-                    del _memo[next(iter(_memo))]
+        for key, answer in zip(missing, compute(missing)):
+            MEMO.put(key, answer, count)
+            found[key] = answer
     return [found[key] for key in keys]
 
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from collections import defaultdict
 
-from repro.machines import catalog as _catalog
 from repro.machines.catalog import (
     commercial_by_architecture,
     max_config_mtops,
@@ -86,8 +85,3 @@ def smp_trend(through: float | None = None) -> ExponentialTrend:
     if len(pts) < 2:
         raise ValueError("not enough SMP systems in range to fit a trend")
     return fit_exponential([p.year for p in pts], [p.mtops for p in pts])
-
-
-def _all_smp_entries() -> list[MachineSpec]:  # pragma: no cover - debug helper
-    return [m for m in _catalog.COMMERCIAL_SYSTEMS
-            if m.architecture is Architecture.SMP]

@@ -45,6 +45,7 @@ from repro.catalog.events import (
     reset_catalog,
 )
 from repro.catalog.registry import (
+    CountMemo,
     current_epoch,
     invalidate_all,
     invalidation_count,
@@ -405,7 +406,7 @@ def _misses() -> list[int]:
 
 
 class TestInvalidationRegistry:
-    def test_invalidate_all_runs_every_hook(self):
+    def test_invalidate_all_makes_every_memo_miss_once(self):
         """After ``invalidate_all()`` every catalog memo misses exactly
         once, then hits again."""
         for memo, args in _EPOCH_MEMOS:
@@ -419,6 +420,16 @@ class TestInvalidationRegistry:
             for memo, args in _EPOCH_MEMOS:
                 memo(*args)
         assert _misses() == [n + 1 for n in warm]
+
+    def test_first_call_after_invalidation_keeps_only_live_entries(self):
+        """The first call after ``invalidate_all()`` drops every entry
+        built under the older count, so no dead entry outlives it."""
+        for memo, args in _EPOCH_MEMOS:
+            memo(*args)
+        invalidate_all()
+        for memo, args in _EPOCH_MEMOS:
+            memo(*args)
+            assert memo.cache_info().currsize == 1, memo.__name__
 
     def test_invalidate_for_is_kind_precise(self):
         """An applied event moves the invalidation count by exactly 1,
@@ -672,31 +683,41 @@ class TestMemoBounds:
 
 
 class TestLRUCacheEpochPurge:
-    def test_purge_below_epoch(self):
-        """The first read after the invalidation count moves drops every
-        older entry and counts each as a purge."""
-        cache = LRUCache(8)
-        cache.put((0, "a"), {"v": 1})
-        cache.put((1, "a"), {"v": 2})
-        cache.put((2, "b"), {"v": 3})
-        cache.put("legacy-key", {"v": 4})
-        invalidate_all()
-        assert cache.get((2, "b")) is MISS
-        assert cache.get((1, "a")) is MISS
-        info = cache.info()
-        assert info["purges"] == 4 and info["entries"] == 0
-        cache.put((3, "c"), {"v": 5})
-        assert cache.get((3, "c")) == {"v": 5}
-        assert cache.info()["purges"] == 4
+    def test_first_touch_under_newer_count_purges(self):
+        """The first touch under a newer invalidation count drops every
+        older entry and counts each as a purge; a store made under an
+        older count than the memo holds is discarded."""
+        for memo_class in (CountMemo, LRUCache):
+            cache = memo_class(8)
+            count = invalidation_count()
+            for key, value in (("a", 1), ("b", 2), (("t", 2000.0), 3),
+                               ("legacy-key", 4)):
+                cache.put(key, {"v": value}, count)
+            invalidate_all()
+            assert cache.get("b", count + 1) is MISS
+            assert cache.get("a", count + 1) is MISS
+            info = cache.info()
+            assert info["purges"] == 4 and info["entries"] == 0
+            cache.put("c", {"v": 5}, count + 1)
+            assert cache.get("c", count + 1) == {"v": 5}
+            # A build that an event overtook: its store is discarded and
+            # its lookup misses.
+            cache.put("a", {"v": 1}, count)
+            assert cache.get("a", count) is MISS
+            assert cache.get("a", count + 1) is MISS
+            info = cache.info()
+            assert info["purges"] == 4 and info["entries"] == 1
 
     def test_purge_noop_below_or_at_existing_epochs(self):
         """A no-op event leaves the count, and so every entry, alone."""
-        cache = LRUCache(8)
-        cache.put((3, "x"), {"v": 1})
-        assert not apply_event(AmendThreshold(start_year=1994.1,
-                                              threshold_mtops=1500.0)).applied
-        assert cache.get((3, "x")) == {"v": 1}
-        assert cache.info()["purges"] == 0
+        for memo_class in (CountMemo, LRUCache):
+            cache = memo_class(8)
+            count = invalidation_count()
+            cache.put("x", {"v": 1}, count)
+            assert not apply_event(AmendThreshold(
+                start_year=1994.1, threshold_mtops=1500.0)).applied
+            assert cache.get("x", invalidation_count()) == {"v": 1}
+            assert cache.info()["purges"] == 0
 
 
 class TestSnapshotEpochs:

@@ -23,6 +23,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from repro.catalog.registry import CountMemo, invalidation_count
 from repro.ctp import ComputingElement, Coupling, ctp_homogeneous
 from repro.machines.catalog import COMMERCIAL_SYSTEMS
 from repro.obs.errors import (
@@ -670,33 +671,39 @@ class TestMicroBatcher:
 
 class TestLRUCache:
     def test_eviction_order_respects_recency(self):
-        cache = LRUCache(2)
-        cache.put("a", 1)
-        cache.put("b", 2)
-        assert cache.get("a") == 1  # refresh "a"; "b" is now oldest
-        cache.put("c", 3)
-        assert cache.get("b") is MISS
-        assert cache.get("a") == 1
-        assert cache.get("c") == 3
-        assert cache.info()["evictions"] == 1
+        for memo_class in (CountMemo, LRUCache):
+            cache = memo_class(2)
+            count = invalidation_count()
+            cache.put("a", 1, count)
+            cache.put("b", 2, count)
+            assert cache.get("a", count) == 1  # refresh "a"; "b" is oldest
+            cache.put("c", 3, count)
+            assert cache.get("b", count) is MISS
+            assert cache.get("a", count) == 1
+            assert cache.get("c", count) == 3
+            assert cache.info()["evictions"] == 1
 
     def test_zero_capacity_disables_caching(self):
-        cache = LRUCache(0)
-        cache.put("a", 1)
-        assert cache.get("a") is MISS
-        assert len(cache) == 0
+        for memo_class in (CountMemo, LRUCache):
+            cache = memo_class(0)
+            count = invalidation_count()
+            cache.put("a", 1, count)
+            assert cache.get("a", count) is MISS
+            assert len(cache) == 0
 
     def test_info_counts_are_exact(self):
-        cache = LRUCache(4)
-        assert cache.get("a") is MISS
-        cache.put("a", 1)
-        assert cache.get("a") == 1
-        info = cache.info()
-        assert (info["hits"], info["misses"]) == (1, 1)
-        assert info["hit_rate"] == 0.5
-        cache.clear()
-        assert len(cache) == 0
-        assert cache.info()["hits"] == 1  # counters survive clear
+        for memo_class in (CountMemo, LRUCache):
+            cache = memo_class(4)
+            count = invalidation_count()
+            assert cache.get("a", count) is MISS
+            cache.put("a", 1, count)
+            assert cache.get("a", count) == 1
+            info = cache.info()
+            assert (info["hits"], info["misses"]) == (1, 1)
+            assert info["hit_rate"] == 0.5
+            cache.clear()
+            assert len(cache) == 0
+            assert cache.info()["hits"] == 1  # counters survive clear
 
     def test_invalid_capacity_rejected(self):
         with pytest.raises(ValidationError):

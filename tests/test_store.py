@@ -264,7 +264,7 @@ class TestRoundTrip:
             with pytest.raises(ValueError):
                 array[...] = 0
 
-    def test_active_hash_tracking(self):
+    def test_invalidate_all_rebuilds_each_catalog_store_once(self):
         """``invalidate_all()`` makes every catalog store cold: the next
         read builds each once and rebuilds no argument-keyed store."""
         _every_store()
@@ -293,7 +293,7 @@ class TestStaleness:
         assert first.units_installed[row] == 4242.0 != old_units
         assert first.epoch == 1
 
-    def test_unknown_format_version_raises(self):
+    def test_threshold_amend_rebuilds_stores_identically(self):
         """A threshold amendment also makes the catalog stores cold: the
         machine columns and frontier index rebuild once, bit-identically
         (no machine changed)."""
